@@ -19,13 +19,13 @@ analysis throughput over the suite and writes a ``BENCH_<date>.json``
 baseline; ``--no-cache`` disables the entailment cache for a single
 run.
 
-Soundness gates: ``python -m repro lemma-smoke`` is the CI gate for
-the lemma-synthesis entailment fallback -- a seeded crucible campaign
-whose oracle cross-checks every lemma-assisted pass against the
-concrete interpreter and re-runs every non-pass with lemmas disabled
-(lemmas may only *add* passes), plus the three curated lemma
-regression scenarios whose fail-without/pass-with differential is
-pinned.  ``--no-lemmas`` disables the fallback for a single run.
+Soundness gate: ``python -m repro diff`` runs seeded crucible edit
+pairs and the curated programs under a fixed pairwise cover of engine
+configurations (cache, lemmas, wto, incremental), from scratch and
+against one shared, fault-injected store, and fails on any core-verdict
+divergence (see :mod:`repro.diff`).  ``--no-cache``, ``--no-lemmas``,
+``--no-wto``, ``--no-store`` and ``--no-incremental`` switch one knob
+off for a single run.
 
 Serving: ``python -m repro serve`` runs the supervised analysis daemon
 (persistent warm-cache workers behind a bounded queue; see
@@ -155,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable the lemma-synthesis entailment fallback "
         "(restores the purely structural matcher; lemmas only add "
-        "passes -- see 'python -m repro lemma-smoke')",
+        "passes -- see 'python -m repro diff')",
     )
     parser.add_argument(
         "--store",
@@ -163,26 +163,27 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="durable predicate/summary store directory: validated "
         "summaries are reused across runs and processes (verdicts are "
-        "identical either way; see 'python -m repro store-smoke')",
+        "identical either way; see 'python -m repro diff')",
     )
     parser.add_argument(
         "--no-store",
         action="store_true",
-        help="ignore --store and any REPRO_STORE default",
+        help="ignore --store and any REPRO_STORE default (verdicts are "
+        "identical either way; see 'python -m repro diff')",
     )
     parser.add_argument(
         "--no-incremental",
         action="store_true",
         help="disable fixpoint-bundle replay against the durable store "
         "(per-entry summary reuse still applies; verdicts are identical "
-        "either way -- see 'python -m repro incr-smoke')",
+        "either way -- see 'python -m repro diff')",
     )
     parser.add_argument(
         "--no-wto",
         action="store_true",
         help="drive the fixpoint worklist in naive FIFO order instead "
         "of the weak topological order (verdicts are identical either "
-        "way; see tests/test_wto_schedule.py)",
+        "way; see 'python -m repro diff')",
     )
     parser.add_argument(
         "--dump-ir", action="store_true", help="print the (lowered) IR and exit"
@@ -507,22 +508,14 @@ def main(argv: list[str] | None = None) -> int:
         from repro.serve.smoke import main as smoke_main
 
         return smoke_main(argv[1:])
-    if argv and argv[0] == "store-smoke":
-        from repro.store.smoke import main as store_smoke_main
+    if argv and argv[0] == "diff":
+        from repro.diff import main as diff_main
 
-        return store_smoke_main(argv[1:])
-    if argv and argv[0] == "incr-smoke":
-        from repro.store.incrsmoke import main as incr_smoke_main
-
-        return incr_smoke_main(argv[1:])
+        return diff_main(argv[1:])
     if argv and argv[0] == "store-gc":
         from repro.store.gc import main as store_gc_main
 
         return store_gc_main(argv[1:])
-    if argv and argv[0] == "lemma-smoke":
-        from repro.crucible.lemmasmoke import main as lemma_smoke_main
-
-        return lemma_smoke_main(argv[1:])
 
     parser = build_parser()
     args = parser.parse_args(argv)

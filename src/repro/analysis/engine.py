@@ -73,8 +73,8 @@ class ShapeAnalysis:
     #: priority worklist over each procedure's weak topological order,
     #: stabilizing inner loops before their exits; ``"fifo"`` is the
     #: naive order (``--no-wto``), kept so differential harnesses can
-    #: cross-check the two (verdicts must agree; see
-    #: tests/test_wto_schedule.py).
+    #: cross-check the two (verdicts must agree; ``python -m repro
+    #: diff`` checks exactly this).
     schedule: str = "wto"
     #: Wall-clock deadline for the whole run in seconds (None = off).
     deadline_seconds: float | None = None
@@ -120,13 +120,14 @@ class ShapeAnalysis:
     #: through its on-disk form -- across processes and restarts.
     #: Consulted at the engine's ``store`` phase boundary; every entry
     #: is validated before use, so verdicts are identical with and
-    #: without one (the crucible differential gate checks exactly this).
+    #: without one (``python -m repro diff`` checks exactly this, across
+    #: engine configurations).
     store: "object | None" = None
     #: Lemma-synthesis fallback in entailment (``--no-lemmas`` turns it
     #: off, restoring the purely structural matcher bit-for-bit; see
     #: :mod:`repro.logic.lemmas` and DESIGN.md §11).  Lemmas may only
-    #: *add* passes, never flip a verdict -- the bench harness and the
-    #: crucible differential gate both check exactly this.
+    #: *add* passes, never flip a verdict -- ``python -m repro diff``
+    #: and crucible oracle claim D both check exactly this.
     enable_lemmas: bool = True
     #: Pre-built lemma cache (:class:`repro.perf.cache.LemmaCache`);
     #: pair keys are fully structural, so a cache passed across runs
@@ -138,7 +139,7 @@ class ShapeAnalysis:
     #: summary table is replayed from its cone-digest-keyed fixpoint
     #: bundle when nothing in its callee cone changed, and exported
     #: after every successful run.  Verdicts are identical either way
-    #: (the incr-smoke differential gate checks exactly this).
+    #: (``python -m repro diff`` checks exactly this).
     enable_incremental: bool = True
     #: Pre-built in-memory fixpoint tier
     #: (:class:`repro.store.fixpoint.FixpointTable`), checked before

@@ -239,6 +239,15 @@ class ShapeEngine:
         self.max_invariants_per_header = max_invariants_per_header
         self.max_back_arrivals = max_back_arrivals
         self.mode = mode
+        #: the configuration token every store and fixpoint key carries
+        #: (and every stored payload must repeat): everything besides
+        #: the program that shapes a tabulated summary.  Lemma synthesis
+        #: is part of it because a lemma-assisted summary answering a
+        #: lemma-free run would turn its failure into a pass.
+        self.config = (
+            f"unroll={max_unroll};mode={mode};"
+            f"lemmas={'on' if lemmas.ACTIVE.enabled else 'off'}"
+        )
         #: structured record of every contained failure (degrade mode).
         self.diagnostics: list[Diagnostic] = []
         #: running total of containment events (diagnostics are
@@ -621,11 +630,7 @@ class ShapeEngine:
             from repro.store.store import STORE_SCHEMA
 
             key = fixpoint_key(
-                name,
-                cone,
-                unroll=self.max_unroll,
-                mode=self.mode,
-                schema=STORE_SCHEMA,
+                name, cone, config=self.config, schema=STORE_SCHEMA
             )
             payload = self.fixpoint.get(key)
             if (
@@ -636,11 +641,7 @@ class ShapeEngine:
                 return list(payload["summaries"]), self.fixpoint.get_blob
         if self.store is not None:
             subs = self.store.consult_fixpoint(
-                name,
-                cone,
-                self.metrics,
-                unroll=self.max_unroll,
-                mode=self.mode,
+                name, cone, self.metrics, config=self.config
             )
             self._absorb_store_diagnostics()
             if subs:
@@ -663,13 +664,6 @@ class ShapeEngine:
             try:
                 if not isinstance(sub, dict):
                     raise InvalidStoreEntry("bundle entry is not an object")
-                if (
-                    sub.get("unroll") != self.max_unroll
-                    or sub.get("mode") != self.mode
-                ):
-                    raise InvalidStoreEntry(
-                        "bundle entry's engine configuration does not match"
-                    )
                 hit = validate_summary_payload(
                     sub,
                     callee=name,
@@ -678,6 +672,7 @@ class ShapeEngine:
                     env=self.env,
                     resolve_blob=resolve,
                     cone=cone,
+                    config=self.config,
                 )
                 if index == 0:
                     # Subsumption spot-check: decoding the entry key a
@@ -747,8 +742,7 @@ class ShapeEngine:
                         triples,
                         self.env,
                         self.metrics,
-                        unroll=self.max_unroll,
-                        mode=self.mode,
+                        config=self.config,
                     )
                 if self.fixpoint is not None:
                     self._export_to_table(name, cone, triples)
@@ -767,23 +761,12 @@ class ShapeEngine:
         from repro.store.store import STORE_SCHEMA
 
         payload, blobs = encode_fixpoint(
-            name,
-            cone,
-            triples,
-            self.env,
-            unroll=self.max_unroll,
-            mode=self.mode,
-            schema=STORE_SCHEMA,
+            name, cone, triples, self.env,
+            config=self.config, schema=STORE_SCHEMA,
         )
         if payload is None:
             return
-        key = fixpoint_key(
-            name,
-            cone,
-            unroll=self.max_unroll,
-            mode=self.mode,
-            schema=STORE_SCHEMA,
-        )
+        key = fixpoint_key(name, cone, config=self.config, schema=STORE_SCHEMA)
         self.fixpoint.put(key, payload, blobs)
 
     # ------------------------------------------------------------------
@@ -815,8 +798,7 @@ class ShapeEngine:
                 cutpoints,
                 self.env,
                 self.metrics,
-                unroll=self.max_unroll,
-                mode=self.mode,
+                config=self.config,
                 cone=self._cone_digest(name),
             )
         except (BudgetExhausted, AnalysisStuck):
@@ -891,7 +873,7 @@ class ShapeEngine:
         if self.store is None:
             return
         try:
-            # Keyed on unroll + mode so a store-on run's retry
+            # Keyed on the config token so a store-on run's retry
             # trajectory matches store-off exactly: summaries recorded
             # by an escalated attempt are invisible to base attempts.
             self.store.record(
@@ -901,8 +883,7 @@ class ShapeEngine:
                 cutpoints,
                 self.env,
                 self.metrics,
-                unroll=self.max_unroll,
-                mode=self.mode,
+                config=self.config,
                 cone=self._cone_digest(name),
             )
         except (BudgetExhausted, AnalysisStuck):

@@ -21,26 +21,18 @@ entailment stress program (the CI perf-smoke job runs this);
 ``--require-hits`` additionally fails when the list benchmarks see no
 cache hits at all, which would mean cross-run key sharing regressed.
 
-Since the durable store landed, every benchmark additionally gets a
-cold-store vs warm-store pair (fresh store directory, uncached, so the
-delta isolates validated summary reuse); the warm run's core verdict
-must match the store-less runs or the harness exits nonzero, and
-``--require-hits`` also fails on a warm sweep with zero store hits.
+Verdict parity across the other engine knobs (schedule, store,
+lemmas, incremental replay, and their combinations) is not measured
+here: ``python -m repro diff`` is the differential gate for all of
+them.
 
-Two more differentials ride along since the scheduling overhaul:
-
-* every benchmark is also analyzed once under the FIFO worklist
-  (``schedule="fifo"``); its *core* verdict (outcome, failure,
-  attempts, exit-state and predicate counts -- not the trajectory
-  counters, which legitimately depend on visit order) must match the
-  WTO run, else exit nonzero;
-* when a committed ``BENCH_*.json`` baseline exists (or ``--baseline``
-  names one), the report embeds a delta section: stored totals, the
-  uncached-total ratio, and per-benchmark phase-seconds deltas.  Treat
-  cross-*time* wall-clock ratios with suspicion -- they compare
-  different machine loads; the honest speedup measurement is an
-  interleaved A/B against a checkout of the baseline commit (see
-  EXPERIMENTS.md).
+When a committed ``BENCH_*.json`` baseline exists (or ``--baseline``
+names one), the report embeds a delta section: stored totals, the
+uncached-total ratio, and per-benchmark phase-seconds deltas.  Treat
+cross-*time* wall-clock ratios with suspicion -- they compare
+different machine loads; the honest speedup measurement is an
+interleaved A/B against a checkout of the baseline commit (see
+EXPERIMENTS.md).
 
 ``--compare BASELINE.json`` turns the harness into a noise-aware
 regression *gate*: per-benchmark per-rep minima (the one-sided-noise
@@ -59,8 +51,8 @@ row reports the callgraph-cone size/depth of the edit and the fixpoint
 replay hit rate alongside the usual timing arrays -- so the
 ``--compare`` gate guards the edit-loop speedup like any other
 benchmark.  Core verdicts between the two configurations must match or
-the harness exits nonzero (``python -m repro incr-smoke`` is the
-full differential gate).
+the harness exits nonzero (``python -m repro diff`` is the full
+differential gate).
 
 The default output path never overwrites an existing report: when
 ``BENCH_<date>.json`` is taken, ``BENCH_<date>-2.json`` (then ``-3``,
@@ -145,16 +137,6 @@ _VERDICT_COUNTERS = (
 )
 
 
-#: Core-verdict keys: what the analysis *concluded*, independent of the
-#: trajectory it took.  The FIFO/WTO schedule differential compares
-#: exactly these -- visit order legitimately changes the trajectory
-#: counters, and can change synthesis *granularity* (on 181.mcf the
-#: WTO funnel generalizes to a single invariant where FIFO tabulates
-#: two predicates and three exit disjuncts -- both sound), but must
-#: never change the conclusion.
-_CORE_KEYS = ("outcome", "failure", "attempts")
-
-
 def _verdict(result) -> dict:
     """The verdict fingerprint of one analysis result."""
     out = {
@@ -169,10 +151,6 @@ def _verdict(result) -> dict:
     return out
 
 
-def _core(verdict: dict) -> dict:
-    return {k: verdict[k] for k in _CORE_KEYS}
-
-
 def _phase_seconds(result) -> dict:
     return {
         "pointer": round(result.pointer_seconds, 6),
@@ -181,15 +159,7 @@ def _phase_seconds(result) -> dict:
     }
 
 
-def _run(
-    name: str,
-    mode: str,
-    deadline: float | None,
-    cache,
-    schedule: str = "wto",
-    store=None,
-    lemmas: bool = True,
-) -> tuple:
+def _run(name: str, mode: str, deadline: float | None, cache) -> tuple:
     """One analysis run; returns (result, wall seconds)."""
     from repro.analysis import ShapeAnalysis
     from repro.benchsuite.runner import _resolve_benchmark
@@ -203,59 +173,8 @@ def _run(
         deadline_seconds=deadline,
         enable_cache=cache is not None,
         cache=cache,
-        schedule=schedule,
-        store=store,
-        enable_lemmas=lemmas,
     ).run()
     return result, time.perf_counter() - start
-
-
-def _store_differential(
-    name: str, mode: str, deadline: float | None, core: dict
-) -> tuple:
-    """Cold-store vs warm-store measurement for one benchmark.
-
-    Each benchmark gets a fresh store directory so "cold" really pays
-    the populate and "warm" really measures validated reuse.  Both
-    runs are uncached (no entailment memo) so the delta isolates the
-    durable store.  Returns (section, core_matches)."""
-    import shutil
-    import tempfile
-
-    from repro.store import SummaryStore
-
-    store_dir = tempfile.mkdtemp(prefix=f"repro-bench-store-{name}-")
-    try:
-        cold_store = SummaryStore(store_dir)
-        cold_result, cold_seconds = _run(
-            name, mode, deadline, cache=None, store=cold_store
-        )
-        warm_store = SummaryStore(store_dir)
-        warm_result, warm_seconds = _run(
-            name, mode, deadline, cache=None, store=warm_store
-        )
-    finally:
-        shutil.rmtree(store_dir, ignore_errors=True)
-    warm_stats = warm_store.stats()
-    matches = (
-        _core(_verdict(cold_result)) == core
-        and _core(_verdict(warm_result)) == core
-    )
-    return (
-        {
-            "cold_seconds": round(cold_seconds, 6),
-            "warm_seconds": round(warm_seconds, 6),
-            "speedup": round(cold_seconds / warm_seconds, 4)
-            if warm_seconds
-            else None,
-            "warm_hits": warm_stats["hits"],
-            "warm_hit_rate": warm_stats["hit_rate"],
-            "invalid": warm_stats["invalid"],
-            "entries": warm_stats["entries"],
-            "matches": matches,
-        },
-        matches,
-    )
 
 
 def _incremental_row(
@@ -270,17 +189,18 @@ def _incremental_row(
     re-exports the edited cone's bundles, and the honest workload is
     the *first* re-analysis after an edit, not the second).
 
-    ``verdicts_match`` compares **core** verdicts (outcome, failure,
-    attempts): replaying a cached fixpoint legitimately changes the
-    trajectory counters (that is the whole point), never the
-    conclusion -- ``python -m repro incr-smoke`` gates that parity
-    differentially under store faults."""
+    ``verdicts_match`` compares **core** verdicts
+    (:func:`repro.diff.core_verdict`): replaying a cached fixpoint
+    legitimately changes the trajectory counters (that is the whole
+    point), never the conclusion -- ``python -m repro diff`` gates that
+    parity differentially under store faults."""
     import shutil
     import tempfile
 
     from repro.analysis import ShapeAnalysis
     from repro.benchsuite import TABLE4_PROGRAMS
     from repro.crucible.generator import edit_program
+    from repro.diff import core_verdict
     from repro.ir.digest import diff_programs, program_digests
     from repro.store import SummaryStore
 
@@ -307,7 +227,7 @@ def _incremental_row(
     for _ in range(repetitions):
         result, seconds = run(edited)
         uncached_seconds.append(round(seconds, 6))
-        this = _core(_verdict(result))
+        this = core_verdict(result)
         if core is None:
             core, verdict, phases = this, _verdict(result), _phase_seconds(result)
         elif this != core:
@@ -330,7 +250,7 @@ def _incremental_row(
                 replay_hits += stats.get("fixpoint_hits", 0)
                 replay_lookups += stats.get("fixpoint_lookups", 0)
                 invalid += stats.get("invalid", 0)
-                if _core(_verdict(result)) != core:
+                if core_verdict(result) != core:
                     matches = False
             finally:
                 shutil.rmtree(rep_dir, ignore_errors=True)
@@ -393,12 +313,7 @@ def run_bench(
             names = sorted(benchmark_factories())
     benchmarks = []
     mismatches = []
-    schedule_mismatches = []
-    store_mismatches = []
-    lemma_mismatches = []
     total_uncached = total_cached = 0.0
-    total_store_cold = total_store_warm = 0.0
-    total_store_hits = 0
     list_hits = list_misses = 0
     for name in names:
         uncached_seconds = []
@@ -428,44 +343,6 @@ def run_bench(
                 verdicts_match = False
         if not verdicts_match:
             mismatches.append(name)
-        # Schedule differential: one uncached FIFO run; the core
-        # verdict must match the WTO runs above.
-        fifo_result, _ = _run(name, mode, deadline, cache=None, schedule="fifo")
-        fifo_core = _core(_verdict(fifo_result))
-        schedules_match = fifo_core == _core(verdict)
-        if not schedules_match:
-            schedule_mismatches.append(name)
-        # Durable-store differential: cold populate vs warm reuse, core
-        # verdict identical to the store-less runs above or exit 1.
-        store_section, store_matches = _store_differential(
-            name, mode, deadline, _core(verdict)
-        )
-        if not store_matches:
-            store_mismatches.append(name)
-        # Lemma differential: one uncached lemmas-off run.  Lemma
-        # synthesis may only *add* passes -- a benchmark that passes
-        # structurally but not with lemmas enabled is a violation
-        # (the converse, a lemma-assisted pass the structural matcher
-        # misses, is exactly what the lemma benchmarks exist for and is
-        # certified concretely by 'python -m repro lemma-smoke').
-        off_result, off_seconds = _run(
-            name, mode, deadline, cache=None, lemmas=False
-        )
-        off_core = _core(_verdict(off_result))
-        lemma_matches = not (
-            off_core["outcome"] == "pass" and verdict["outcome"] != "pass"
-        )
-        if not lemma_matches:
-            lemma_mismatches.append(name)
-        lemma_section = {
-            "no_lemmas_core": off_core,
-            "no_lemmas_seconds": round(off_seconds, 6),
-            "lemmas_applied": verdict.get("entailment.lemma.applied", 0),
-            "matches": lemma_matches,
-        }
-        total_store_cold += store_section["cold_seconds"]
-        total_store_warm += store_section["warm_seconds"]
-        total_store_hits += store_section["warm_hits"]
         if name.startswith("list-"):
             list_hits += shared.hits
             list_misses += shared.misses
@@ -485,12 +362,6 @@ def run_bench(
                 if cached_total
                 else None,
                 "cache": {**shared.stats(), "rep_hit_rates": rep_hit_rates},
-                "schedule_differential": {
-                    "fifo_core": fifo_core,
-                    "matches": schedules_match,
-                },
-                "store_differential": store_section,
-                "lemma_differential": lemma_section,
             }
         )
     incremental_mismatches = []
@@ -525,12 +396,6 @@ def run_bench(
             "list_hit_rate": round(list_hits / list_total, 6)
             if list_total
             else 0.0,
-            "store_cold_seconds": round(total_store_cold, 6),
-            "store_warm_seconds": round(total_store_warm, 6),
-            "store_speedup": round(total_store_cold / total_store_warm, 4)
-            if total_store_warm
-            else None,
-            "store_warm_hits": total_store_hits,
             "incr_scratch_seconds": round(total_incr_scratch, 6),
             "incr_warm_seconds": round(total_incr_warm, 6),
             "incr_speedup": round(total_incr_scratch / total_incr_warm, 4)
@@ -540,9 +405,6 @@ def run_bench(
             "incr_replay_lookups": total_replay_lookups,
         },
         "verdict_mismatches": mismatches,
-        "schedule_mismatches": schedule_mismatches,
-        "store_mismatches": store_mismatches,
-        "lemma_mismatches": lemma_mismatches,
         "incremental_mismatches": incremental_mismatches,
     }
 
@@ -897,24 +759,12 @@ def render(report: dict) -> str:
             )
             continue
         cache = bench["cache"]
-        sched = bench.get("schedule_differential", {})
-        store = bench.get("store_differential", {})
-        lemma = bench.get("lemma_differential", {})
         lines.append(
             f"  {bench['name']:16s} uncached {sum(bench['uncached_seconds']):7.3f}s"
             f"  cached {sum(bench['cached_seconds']):7.3f}s"
             f"  x{bench['speedup']:<6}"
             f" hit_rate {cache.get('hit_rate', 0.0):.2f}"
-            f" store x{store.get('speedup', '-')}"
             f"{'' if bench['verdicts_match'] else '  VERDICT MISMATCH'}"
-            f"{'' if sched.get('matches', True) else '  SCHEDULE MISMATCH'}"
-            f"{'' if store.get('matches', True) else '  STORE MISMATCH'}"
-            f"{'' if lemma.get('matches', True) else '  LEMMA MISMATCH'}"
-            + (
-                f"  lemmas {lemma['lemmas_applied']}"
-                if lemma.get("lemmas_applied")
-                else ""
-            )
         )
     totals = report["totals"]
     lines.append(
@@ -922,13 +772,6 @@ def render(report: dict) -> str:
         f"  cached {totals['cached_seconds']:7.3f}s"
         f"  x{totals['speedup']}"
     )
-    if "store_cold_seconds" in totals:
-        lines.append(
-            f"  {'STORE':16s} cold     {totals['store_cold_seconds']:7.3f}s"
-            f"  warm   {totals['store_warm_seconds']:7.3f}s"
-            f"  x{totals['store_speedup']}"
-            f" ({totals['store_warm_hits']} warm hit(s))"
-        )
     if totals.get("incr_warm_seconds"):
         lines.append(
             f"  {'INCREMENTAL':16s} scratch  {totals['incr_scratch_seconds']:7.3f}s"
@@ -1091,37 +934,10 @@ def main(argv: "list[str] | None" = None) -> int:
             file=sys.stderr,
         )
         return 1
-    if report["schedule_mismatches"]:
-        print(
-            "repro bench: fifo and wto core verdicts differ for: "
-            + ", ".join(report["schedule_mismatches"]),
-            file=sys.stderr,
-        )
-        return 1
-    if report.get("store_mismatches"):
-        print(
-            "repro bench: store-on and store-off core verdicts differ "
-            "for: " + ", ".join(report["store_mismatches"]),
-            file=sys.stderr,
-        )
-        return 1
-    if report.get("lemma_mismatches"):
-        print(
-            "repro bench: lemma synthesis lost a structural pass for: "
-            + ", ".join(report["lemma_mismatches"]),
-            file=sys.stderr,
-        )
-        return 1
     if report.get("incremental_mismatches"):
         print(
             "repro bench: incremental and from-scratch core verdicts "
             "differ for: " + ", ".join(report["incremental_mismatches"]),
-            file=sys.stderr,
-        )
-        return 1
-    if args.require_hits and report["totals"].get("store_warm_hits") == 0:
-        print(
-            "repro bench: warm-store runs recorded zero store hits",
             file=sys.stderr,
         )
         return 1

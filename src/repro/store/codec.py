@@ -309,8 +309,7 @@ def encode_summary(
     cutpoints: frozenset,
     env,
     *,
-    unroll: int,
-    mode: str,
+    config: str,
     schema: int,
     cone: str = "",
 ) -> "tuple[dict, dict[str, bytes]]":
@@ -353,8 +352,7 @@ def encode_summary(
         "schema": schema,
         "callee": callee,
         "cone": cone,
-        "unroll": unroll,
-        "mode": mode,
+        "config": config,
         "entry": entry_form.key,
         "cutpoints": cutpoint_reprs,
         "exits": exits_payload,

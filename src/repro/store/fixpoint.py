@@ -7,7 +7,7 @@ re-analysis wants a coarser unit -- "this procedure and everything it
 can reach are unchanged, replay its entire tabulated summary table" --
 so the store grows a second object kind:
 
-* keyed on ``(procedure name, callee-cone digest, unroll, mode)``
+* keyed on ``(procedure name, callee-cone digest, engine config)``
   (:mod:`repro.ir.digest`), so any structural edit anywhere in the
   procedure's callee cone silently invalidates the object (the key no
   longer matches -- invalidation needs no dirty lists);
@@ -32,10 +32,8 @@ from repro.store.codec import encode_summary, payload_digest
 __all__ = ["FixpointTable", "encode_fixpoint", "fixpoint_key"]
 
 
-def fixpoint_key(
-    procedure: str, cone: str, *, unroll: int, mode: str, schema: int
-) -> str:
-    parts = ["fixpoint", str(schema), procedure, cone, str(unroll), mode]
+def fixpoint_key(procedure: str, cone: str, *, config: str, schema: int) -> str:
+    parts = ["fixpoint", str(schema), procedure, cone, config]
     return payload_digest("\x00".join(parts).encode("utf-8"))
 
 
@@ -45,8 +43,7 @@ def encode_fixpoint(
     summaries,
     env,
     *,
-    unroll: int,
-    mode: str,
+    config: str,
     schema: int,
 ) -> "tuple[dict | None, dict[str, bytes]]":
     """The bundle payload for *summaries* (an iterable of
@@ -65,8 +62,7 @@ def encode_fixpoint(
                 list(exits),
                 cutpoints,
                 env,
-                unroll=unroll,
-                mode=mode,
+                config=config,
                 schema=schema,
                 cone=cone,
             )
@@ -81,8 +77,7 @@ def encode_fixpoint(
         "kind": "fixpoint",
         "procedure": procedure,
         "cone": cone,
-        "unroll": unroll,
-        "mode": mode,
+        "config": config,
         "summaries": subs,
     }
     return payload, blobs

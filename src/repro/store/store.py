@@ -23,12 +23,15 @@ Design rules, enforced here:
   store disables itself for the rest of the process (one more
   diagnostic records that).
 * **Lookups are keyed on everything that shapes the recorded result**:
-  store schema, callee name, engine unroll bound and mode, the entry
-  state's canonical key, and the canonicalized cutpoint set.  Keying
-  on unroll/mode matters for verdict parity: a retry-escalation run
-  records summaries at a higher unroll, and a later cold attempt at
-  the base unroll must *not* hit them -- it must fail exactly like a
-  store-off run would, so the attempt/diagnostic trajectory matches.
+  store schema, callee name, the engine's configuration token (unroll
+  bound, mode, and whether lemma synthesis is on -- see
+  ``ShapeEngine.config``), the entry state's canonical key, and the
+  canonicalized cutpoint set.  The token matters for verdict parity:
+  a retry-escalation run records summaries at a higher unroll, and a
+  later cold attempt at the base unroll must *not* hit them; a
+  lemma-assisted summary must not answer a lemma-free run.  Either
+  must fail exactly like a store-off run would, so the
+  attempt/diagnostic trajectory matches.
 """
 
 from __future__ import annotations
@@ -68,7 +71,10 @@ __all__ = ["STORE_SCHEMA", "StoreHit", "SummaryStore"]
 #: cone digest also closes a v1 soundness gap: two *different*
 #: procedures sharing a name and an entry shape (e.g. ``main`` across
 #: crucible seeds) used to collide onto one summary key.
-STORE_SCHEMA = 2
+#: v3: the separate unroll/mode key components and payload fields
+#: became one engine ``config`` token that also carries the lemma
+#: setting (v2 let a lemma-assisted summary answer a lemma-free run).
+STORE_SCHEMA = 3
 
 #: Consecutive I/O errors before the store takes itself out of play.
 _MAX_IO_ERRORS = 3
@@ -181,8 +187,7 @@ class SummaryStore:
         entry_key: str,
         cutpoint_reprs,
         *,
-        unroll: int,
-        mode: str,
+        config: str,
         cone: str = "",
     ) -> str:
         parts = [
@@ -190,8 +195,7 @@ class SummaryStore:
             str(STORE_SCHEMA),
             callee,
             cone,
-            str(unroll),
-            mode,
+            config,
             entry_key,
             *cutpoint_reprs,
         ]
@@ -208,8 +212,7 @@ class SummaryStore:
         env,
         metrics=_NULL_METRICS,
         *,
-        unroll: int = 0,
-        mode: str = "strict",
+        config: str = "",
         cone: str = "",
     ) -> "StoreHit | None":
         """A validated entry for (*callee*, *entry*, *cutpoints*) under
@@ -227,7 +230,7 @@ class SummaryStore:
         try:
             return self._consult(
                 callee, entry, cutpoints, env, metrics,
-                unroll=unroll, mode=mode, cone=cone,
+                config=config, cone=cone,
             )
         finally:
             metrics.observe(
@@ -242,8 +245,7 @@ class SummaryStore:
         env,
         metrics=_NULL_METRICS,
         *,
-        unroll: int = 0,
-        mode: str = "strict",
+        config: str = "",
         cone: str = "",
     ) -> "StoreHit | None":
         self.tally("lookups")
@@ -258,7 +260,7 @@ class SummaryStore:
             return None
         key = self.lookup_key(
             callee, entry_form.key, cutpoint_reprs,
-            unroll=unroll, mode=mode, cone=cone,
+            config=config, cone=cone,
         )
         try:
             raw = self._disk.get(key)
@@ -283,6 +285,7 @@ class SummaryStore:
                 env=env,
                 resolve_blob=self._disk.get_object,
                 cone=cone,
+                config=config,
             )
         except InvalidStoreEntry as exc:
             self._reject(callee, metrics, f"{callee}: {exc}")
@@ -323,8 +326,7 @@ class SummaryStore:
         env,
         metrics=_NULL_METRICS,
         *,
-        unroll: int = 0,
-        mode: str = "strict",
+        config: str = "",
         cone: str = "",
     ) -> bool:
         """Persist one tabulated summary.  Never raises; returns True
@@ -343,8 +345,7 @@ class SummaryStore:
                 exits,
                 cutpoints,
                 env,
-                unroll=unroll,
-                mode=mode,
+                config=config,
                 schema=schema,
                 cone=cone,
             )
@@ -357,8 +358,7 @@ class SummaryStore:
             callee,
             payload["entry"],
             payload["cutpoints"],
-            unroll=unroll,
-            mode=mode,
+            config=config,
             cone=cone,
         )
         try:
@@ -397,8 +397,7 @@ class SummaryStore:
         cone: str,
         metrics=_NULL_METRICS,
         *,
-        unroll: int = 0,
-        mode: str = "strict",
+        config: str = "",
     ) -> "list[dict] | None":
         """The raw summary sub-payloads bundled for (*procedure*,
         *cone*) under the given engine configuration, or None.  Never
@@ -413,7 +412,7 @@ class SummaryStore:
         metrics.inc("incr.fixpoint.lookups")
         metrics.inc("store.lookups")
         key = fixpoint_key(
-            procedure, cone, unroll=unroll, mode=mode, schema=STORE_SCHEMA
+            procedure, cone, config=config, schema=STORE_SCHEMA
         )
         try:
             raw = self._disk.get(key)
@@ -452,8 +451,7 @@ class SummaryStore:
             or payload.get("schema") != STORE_SCHEMA
             or payload.get("procedure") != procedure
             or payload.get("cone") != cone
-            or payload.get("unroll") != unroll
-            or payload.get("mode") != mode
+            or payload.get("config") != config
             or not isinstance(payload.get("summaries"), list)
         ):
             self._reject(
@@ -477,8 +475,7 @@ class SummaryStore:
         env,
         metrics=_NULL_METRICS,
         *,
-        unroll: int = 0,
-        mode: str = "strict",
+        config: str = "",
     ) -> bool:
         """Persist a procedure's full summary table as one bundle,
         unioned with whatever bundle already sits under the key (other
@@ -500,12 +497,12 @@ class SummaryStore:
             schema = STORE_SCHEMA + 1
         payload, blobs = encode_fixpoint(
             procedure, cone, summaries, env,
-            unroll=unroll, mode=mode, schema=schema,
+            config=config, schema=schema,
         )
         if payload is None:
             return False
         key = fixpoint_key(
-            procedure, cone, unroll=unroll, mode=mode, schema=STORE_SCHEMA
+            procedure, cone, config=config, schema=STORE_SCHEMA
         )
         try:
             existing = self._disk.get(key)

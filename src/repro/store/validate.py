@@ -11,7 +11,8 @@ store therefore re-earns every entry before use, and every failed check
 degrades the lookup to a miss (plus a structured ``store-invalid``
 diagnostic), never to a wrong answer:
 
-1. **Schema**: the payload's schema number must match this build's.
+1. **Schema and config**: the payload's schema number must match this
+   build's, and its engine configuration token the reading run's.
 2. **Decode + re-key**: the entry state, every exit state, and every
    cutpoint must decode through the canonical-key grammar, and
    re-canonicalizing each decoded state must reproduce the stored key
@@ -76,6 +77,7 @@ def validate_summary_payload(
     env: PredicateEnv,
     resolve_blob,
     cone: str = "",
+    config: str = "",
 ) -> ValidatedEntry:
     """Run every check in the module docstring over *payload*.
 
@@ -97,6 +99,10 @@ def validate_summary_payload(
     if payload.get("cone", "") != cone:
         raise InvalidStoreEntry(
             "payload's callee-cone digest does not match this program"
+        )
+    if payload.get("config") != config:
+        raise InvalidStoreEntry(
+            "payload's engine configuration does not match this run"
         )
 
     try:

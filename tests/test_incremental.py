@@ -7,13 +7,12 @@ cross-program replay-contamination seed).
 import pytest
 
 from repro.analysis import ShapeAnalysis
-from repro.analysis.resilience import STORE_INVALID
 from repro.benchsuite.runner import _resolve_benchmark
 from repro.crucible.generator import edit_program
+from repro import diff
+from repro.diff import _corrupt, core_verdict
 from repro.store import SummaryStore
 from repro.store.fixpoint import FixpointTable
-from repro.store.incrsmoke import run_gate
-from repro.store.smoke import _corrupt
 
 
 def _analyze(program, name, *, store=None, fixpoint=None,
@@ -27,20 +26,6 @@ def _analyze(program, name, *, store=None, fixpoint=None,
         fixpoint_table=fixpoint,
         enable_incremental=incremental,
     ).run()
-
-
-def _core(result):
-    record = result.to_record()
-    return {
-        "outcome": record["outcome"],
-        "failure": record["failure"],
-        "attempts": record["attempts"],
-        "diagnostics": sorted(
-            d["code"]
-            for d in record["diagnostics"]
-            if d["code"] != STORE_INVALID
-        ),
-    }
 
 
 def _stable_record(result):
@@ -102,7 +87,7 @@ class TestReplayParity:
         assert notes
         scratch = _analyze(edited, "treeadd")
         warm = _analyze(edited, "treeadd", fixpoint=table)
-        assert _core(scratch) == _core(warm)
+        assert core_verdict(scratch) == core_verdict(warm)
         stats = warm.to_record()["stats"]
         assert stats.get("incr.summaries.replayed", 0) > 0
 
@@ -135,7 +120,7 @@ class TestReplayParity:
         poisoned.merge_wire(wire)
         scratch = _analyze(base, "treeadd")
         replayed = _analyze(base, "treeadd", fixpoint=poisoned)
-        assert _core(scratch) == _core(replayed)
+        assert core_verdict(scratch) == core_verdict(replayed)
 
 
 class TestCorruption:
@@ -153,18 +138,19 @@ class TestCorruption:
         baseline = _analyze(program, "treeadd")
         warm_store = SummaryStore(tmp_path)
         warm = _analyze(program, "treeadd", store=warm_store)
-        assert _core(baseline) == _core(warm)
+        assert core_verdict(baseline) == core_verdict(warm)
         assert warm_store.stats()["invalid"] > 0
 
 
 class TestGate:
-    def test_historical_contamination_seed_passes(self, tmp_path):
+    def test_historical_contamination_seed_passes(self, tmp_path, monkeypatch):
         """Seed 25 once diverged: replayed summaries from an
         equivalent-but-differently-spelled entry answered a foreign
         call.  The exact-entry-key rule fixed it; this pins the seed in
-        the sweep forever."""
-        report = run_gate(str(tmp_path), seeds=1, base_seed=25)
-        assert report["seeds_checked"] == 1
-        assert report["mismatches"] == 0
-        assert report["failures"] == []
-        assert report["replay_hits"] > 0
+        the sweep forever (as the first seed of a sweep, the edit
+        replays under the all-on row, the historical configuration)."""
+        monkeypatch.setattr(diff, "CURATED", ())
+        report = diff.run_gate(str(tmp_path), seeds=1, base_seed=25)
+        assert report["skipped"] == []
+        assert [f for f in report["failures"] if "crucible:25" in f] == []
+        assert report["fixpoint_replays"] > 0

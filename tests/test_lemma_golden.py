@@ -31,6 +31,7 @@ from conftest import fp
 
 from repro.analysis import ShapeAnalysis
 from repro.benchsuite import lemmaprogs
+from repro.crucible.oracle import Oracle
 from repro.ir import Register
 from repro.logic import (
     LIST_DEF,
@@ -53,6 +54,7 @@ from repro.logic.predicates import (
     RecCallSpec,
     RecTarget,
 )
+from repro.store import SummaryStore
 
 # A list segment with a ghost frontier parameter: lsegp(x, y) unfolds
 # to x.next |-> b * lsegp(b, y).  Arity-2 definitions cannot re-derive
@@ -676,3 +678,32 @@ def test_scenario_requires_lemmas(name):
     ).run()
     assert assisted.outcome == "pass"
     assert assisted.stats.get("entailment.lemma.applied", 0) > 0
+
+    # The lemma-assisted pass is certified against the concrete
+    # reference interpreter (oracle claims A/B).
+    report = Oracle(deadline_seconds=30.0).check(factory(), name)
+    assert report.analysis_outcome == "pass" and report.lemmas_applied > 0
+    assert report.ok, report.violations
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_lemma_assisted_summaries_never_answer_a_lemma_free_run(
+    name, tmp_path
+):
+    """A store populated with lemmas on, then consulted with lemmas off,
+    must leave the structural verdict alone: the lemma setting is part
+    of the engine's config token, so the lemma-assisted summaries are
+    invisible to the lemma-free run."""
+    factory = SCENARIOS[name]
+    populated = ShapeAnalysis(
+        factory(), name=f"{name}-on", mode="strict",
+        deadline_seconds=30.0, store=SummaryStore(tmp_path),
+    ).run()
+    assert populated.outcome == "pass"
+
+    consulted = ShapeAnalysis(
+        factory(), name=f"{name}-off", mode="strict",
+        deadline_seconds=30.0, enable_lemmas=False,
+        store=SummaryStore(tmp_path),
+    ).run()
+    assert consulted.outcome == "failed"

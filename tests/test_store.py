@@ -9,9 +9,12 @@ import os
 import pytest
 
 from repro.analysis import ShapeAnalysis
+from repro.analysis.interproc import ShapeEngine
 from repro.analysis.resilience import STORE_INVALID
 from repro.benchsuite.runner import _resolve_benchmark
 from repro.crucible.faults import FaultPlan
+from repro.diff import core_verdict
+from repro.logic import lemmas
 from repro.logic.canonical import canonicalize
 from repro.logic.predicates import PredicateEnv
 from repro.logic.state import AbstractState
@@ -41,18 +44,13 @@ def _run(name="list-build", store=None, mode="degrade", unroll=2,
     ).run()
 
 
-def _core(result):
-    record = result.to_record()
-    return {
-        "outcome": record["outcome"],
-        "failure": record["failure"],
-        "attempts": record["attempts"],
-        "diagnostics": sorted(
-            d["code"]
-            for d in record["diagnostics"]
-            if d["code"] != STORE_INVALID
-        ),
-    }
+def _engine_config(unroll=2, mode="degrade", lemmas_on=True):
+    """The config token a fresh engine computes for these options."""
+    engine = lemmas.LemmaEngine() if lemmas_on else lemmas.NULL_ENGINE
+    with lemmas.activate_lemmas(engine):
+        return ShapeEngine(
+            _resolve_benchmark("list-build"), max_unroll=unroll, mode=mode
+        ).config
 
 
 def _store_invalid_count(result):
@@ -196,20 +194,21 @@ class TestCodec:
         assert payload_digest(blob) != payload_digest(b'{"a":1,"b":3}')
 
     def test_lookup_key_isolates_unroll_and_mode(self):
+        """Unroll, mode and the lemma setting all reach the engine's
+        config token, and each one separates the lookup keys."""
         key = canonicalize(AbstractState()).key
-        base = SummaryStore.lookup_key("f", key, [], unroll=2, mode="degrade")
-        assert base == SummaryStore.lookup_key(
-            "f", key, [], unroll=2, mode="degrade"
-        )
-        assert base != SummaryStore.lookup_key(
-            "f", key, [], unroll=3, mode="degrade"
-        )
-        assert base != SummaryStore.lookup_key(
-            "f", key, [], unroll=2, mode="strict"
-        )
-        assert base != SummaryStore.lookup_key(
-            "g", key, [], unroll=2, mode="degrade"
-        )
+
+        def lookup(callee="f", **options):
+            return SummaryStore.lookup_key(
+                callee, key, [], config=_engine_config(**options)
+            )
+
+        base = lookup()
+        assert base == lookup()
+        assert base != lookup(unroll=3)
+        assert base != lookup(mode="strict")
+        assert base != lookup(lemmas_on=False)
+        assert base != lookup("g")
 
 
 # ----------------------------------------------------------------------
@@ -257,7 +256,7 @@ class TestStoreFaults:
 # ----------------------------------------------------------------------
 class TestSummaryStoreEndToEnd:
     def test_cold_then_warm_parity_and_hits(self, tmp_path):
-        baseline = _core(_run())
+        baseline = core_verdict(_run())
         cold_store = SummaryStore(tmp_path)
         cold = _run(store=cold_store)
         assert cold_store.stats()["writes"] > 0
@@ -267,8 +266,8 @@ class TestSummaryStoreEndToEnd:
         assert stats["hits"] > 0
         assert stats["invalid"] == 0
         assert stats["hit_rate"] > 0
-        assert _core(cold) == baseline
-        assert _core(warm) == baseline
+        assert core_verdict(cold) == baseline
+        assert core_verdict(warm) == baseline
 
     @pytest.mark.parametrize(
         "kind", ["torn-write", "checksum-flip", "stale-schema"]
@@ -278,24 +277,24 @@ class TestSummaryStoreEndToEnd:
         # the first per-entry record, and this test pins the *per-entry*
         # validation-on-read path (a warm fixpoint bundle would answer
         # the program without ever reading the damaged object).
-        baseline = _core(_run(incremental=False))
+        baseline = core_verdict(_run(incremental=False))
         cold_store = SummaryStore(
             tmp_path, chaos=StoreChaos([StoreFaultSpec(kind, 1)])
         )
         cold = _run(store=cold_store, incremental=False)
         assert cold_store.chaos.fired == [(kind, 1)]
-        assert _core(cold) == baseline
+        assert core_verdict(cold) == baseline
 
         warm_store = SummaryStore(tmp_path)
         warm = _run(store=warm_store, incremental=False)
-        assert _core(warm) == baseline
+        assert core_verdict(warm) == baseline
         stats = warm_store.stats()
         assert stats["invalid"] >= 1  # the damage was *seen*, not believed
         assert _store_invalid_count(warm) >= 1  # ... and surfaced
 
         healed_store = SummaryStore(tmp_path)
         healed = _run(store=healed_store, incremental=False)
-        assert _core(healed) == baseline
+        assert core_verdict(healed) == baseline
         stats = healed_store.stats()
         assert stats["invalid"] == 0  # the warm run re-recorded
         assert stats["hits"] > 0
@@ -306,7 +305,7 @@ class TestSummaryStoreEndToEnd:
         # Per-entry path under test (incremental replay would answer
         # from the fixpoint bundle, whose nested sub-payloads this
         # tamper does not reach).
-        baseline = _core(_run(incremental=False))
+        baseline = core_verdict(_run(incremental=False))
         _run(store=SummaryStore(tmp_path), incremental=False)
         disk = DiskStore(tmp_path)
         disk.open(STORE_SCHEMA)
@@ -318,7 +317,7 @@ class TestSummaryStoreEndToEnd:
             disk.put(lookup, payload_bytes(payload))
         warm_store = SummaryStore(tmp_path)
         warm = _run(store=warm_store, incremental=False)
-        assert _core(warm) == baseline
+        assert core_verdict(warm) == baseline
         assert warm_store.stats()["invalid"] >= 1
         assert _store_invalid_count(warm) >= 1
 
@@ -340,7 +339,7 @@ class TestSummaryStoreEndToEnd:
         (simulated via a chaos schedule that stops short of the actual
         kill) leaves an unindexed object; the next run misses, re-
         records, and converges."""
-        baseline = _core(_run())
+        baseline = core_verdict(_run())
         # Simulate the post-crash state directly: commit an object but
         # never index it, plus an orphaned temp file.
         disk = DiskStore(tmp_path)
@@ -349,11 +348,11 @@ class TestSummaryStoreEndToEnd:
         (disk.objects_dir / "tmp-4242-7").write_bytes(b"torn tem")
         cold_store = SummaryStore(tmp_path)
         cold = _run(store=cold_store)
-        assert _core(cold) == baseline
+        assert core_verdict(cold) == baseline
         assert cold_store.stats()["writes"] > 0
         assert not list(disk.objects_dir.glob("tmp-*"))  # swept at open
         warm_store = SummaryStore(tmp_path)
-        assert _core(_run(store=warm_store)) == baseline
+        assert core_verdict(_run(store=warm_store)) == baseline
         assert warm_store.stats()["hits"] > 0
 
 
@@ -434,7 +433,8 @@ class TestStoreGC:
         assert report["bytes_after"] <= budget
         # The shrunken store still works: evicted entries are plain
         # misses, survivors still answer, and re-analysis heals.
-        assert _core(_run(store=SummaryStore(tmp_path))) == _core(_run())
+        warm = _run(store=SummaryStore(tmp_path))
+        assert core_verdict(warm) == core_verdict(_run())
 
     def test_collect_within_budget_is_a_noop(self, tmp_path):
         from repro.store.gc import collect

@@ -15,6 +15,7 @@ bench harness checks at conclusion level on every run.
 
 from repro.analysis import ShapeAnalysis
 from repro.crucible.generator import generate_program
+from repro.diff import core_verdict
 from repro.ir import Register
 from repro.ir.cfg import CFG
 from repro.ir.textual import parse_program
@@ -194,11 +195,12 @@ def test_any_subsumes_matches_stateset_semantics():
 # ----------------------------------------------------------------------
 
 
-def _core_verdict(result) -> dict:
+def _schedule_verdict(result) -> dict:
+    """The core verdict, plus what these small programs must not change
+    under either schedule: exit-state and predicate counts and the full
+    diagnostic texts."""
     return {
-        "outcome": result.outcome,
-        "failure": result.failure,
-        "attempts": result.attempts,
+        **core_verdict(result),
         "exit_states": len(result.exit_states),
         "predicates": len(result.env),
         "diagnostics": sorted(str(d) for d in result.diagnostics),
@@ -218,7 +220,7 @@ def test_fifo_and_wto_verdicts_agree_on_fifty_crucible_seeds():
                 enable_cache=False,
                 schedule=schedule,
             ).run()
-            verdicts[schedule] = _core_verdict(result)
+            verdicts[schedule] = _schedule_verdict(result)
         assert verdicts["wto"] == verdicts["fifo"], (
             f"seed {seed} ({generated.name}): scheduling changed the "
             f"verdict: {verdicts}"
