@@ -1,12 +1,12 @@
 """Crash-isolating batch runner for the benchmark suite.
 
-Runs each benchmark as its *own subprocess* with a per-run wall-clock
+Runs each benchmark in its *own process* with a per-run wall-clock
 timeout, so that one pathological input -- an analysis that hangs, a
 ``RecursionError`` deep in fold/unfold, even an interpreter crash --
-cannot take down the whole batch.  Each child prints a single JSON
-record; the parent aggregates them into a :class:`BatchReport` with
-pass/degraded/failed/crashed/timeout counts, the shape a CI job or a
-perf-trajectory tracker consumes.
+cannot take down the whole batch.  One zygote per batch imports the
+analyzer once and forks a cold child per benchmark; each child prints
+a single JSON record, and the parent aggregates them into a
+:class:`BatchReport` with pass/degraded/failed/crashed/timeout counts.
 
 Usage::
 
@@ -15,21 +15,26 @@ Usage::
     python -m repro.benchsuite.runner --json out.json --mode strict
     python -m repro --batch                           # same, via the CLI
 
-In-process mode (``--no-isolate``) skips the subprocess boundary: runs
+In-process mode (``--no-isolate``) skips the process boundary: runs
 are faster and still exception-contained (``ShapeAnalysis.run`` never
 raises), but a hard hang or interpreter crash would stop the batch;
-use it only where subprocesses are unavailable.
+use it only where child processes are unavailable.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import re
+import select
+import signal as signal_module
 import subprocess
 import sys
+import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -57,6 +62,7 @@ __all__ = [
     "RunRecord",
     "benchmark_factories",
     "crucible_names",
+    "parse_child_output",
     "run_batch",
     "run_one",
     "trace_file_for",
@@ -367,103 +373,156 @@ def crucible_names(seeds: int, base_seed: int = 1, mutations: int = 0) -> list[s
 # ----------------------------------------------------------------------
 
 
-def _run_isolated(
-    name: str,
-    mode: str,
-    timeout: float,
-    deadline: float | None,
-    unroll: int,
-    state_budget: int,
-    trace_path: "Path | None" = None,
-    cache: bool = True,
-    lemmas: bool = True,
-) -> RunRecord:
-    command = [
-        sys.executable,
-        "-m",
-        "repro.benchsuite.runner",
-        "--child",
-        name,
-        "--mode",
-        mode,
-        "--unroll",
-        str(unroll),
-        "--state-budget",
-        str(state_budget),
-    ]
-    if deadline is not None:
-        command += ["--deadline", str(deadline)]
-    if trace_path is not None:
-        command += ["--trace", str(trace_path)]
-    if not cache:
-        command += ["--no-cache"]
-    if not lemmas:
-        command += ["--no-lemmas"]
-    start = time.perf_counter()
+def parse_child_output(name: str, mode: str, returncode: int, stdout: str,
+                       stderr: str = "", seconds: float = 0.0,
+                       trace_path: "Path | None" = None) -> RunRecord:
+    """The record of a child that exited normally: the last line of its
+    stdout, which must be one JSON object.  Anything else (no output,
+    ``null``, a list, a record without a name, garbage) is a crash of
+    that child, never an exception that ends the batch."""
+    lines = stdout.strip().splitlines()
+    # Interned keys: a parent holding many records keeps one copy of
+    # each stats name, not one per record.
+    interned = lambda pairs: {sys.intern(k): v for k, v in pairs}  # noqa: E731
     try:
-        proc = subprocess.run(
-            command,
-            capture_output=True,
-            text=True,
-            timeout=timeout,
-            env=child_env(),
-        )
-    except subprocess.TimeoutExpired:
-        trace = surviving_trace(trace_path)
-        diagnostic = timeout_diagnostic(timeout, trace=trace)
-        return RunRecord(
-            name=name,
-            outcome="timeout",
-            seconds=time.perf_counter() - start,
-            mode=mode,
-            error=diagnostic.message,
-            diagnostics=[diagnostic.to_dict()],
-            trace=trace,
-        )
-    seconds = time.perf_counter() - start
-    # A negative return code means the child was killed by a signal --
-    # a different failure class from both a Python-level crash (the
-    # child exits normally with a traceback) and a timeout (the parent
-    # killed it): segfaults and OOM kills point at the platform, not
-    # the analyzer, so the signal is classified and reported separately.
-    killed_by = classify_exit(proc.returncode)
-    if killed_by is not None:
-        trace = surviving_trace(trace_path)
-        diagnostic = worker_crash_diagnostic(
-            f"child killed by {killed_by} (exit code {proc.returncode})",
-            signal=killed_by,
-            trace=trace,
-        )
-        return RunRecord(
-            name=name,
-            outcome="crashed",
-            seconds=seconds,
-            mode=mode,
-            signal=killed_by,
-            error=diagnostic.message,
-            diagnostics=[diagnostic.to_dict()],
-            trace=trace,
-        )
-    # The child prints exactly one JSON record on success; anything
-    # else (nonzero exit, garbage stdout) is a crash of the child.
+        payload = json.loads(lines[-1], object_pairs_hook=interned) if lines else None
+        if isinstance(payload, dict):
+            record = RunRecord.from_dict(payload)
+            record.seconds = seconds
+            return record
+    except (ValueError, KeyError):
+        pass
+    tail = " | ".join((stderr or stdout).strip().splitlines()[-3:])
+    return RunRecord(
+        name=name, outcome="crashed", seconds=seconds, mode=mode,
+        error=f"child exited with code {returncode}: {tail or 'no output'}",
+        trace=surviving_trace(trace_path),
+    )
+
+
+def _zygote() -> int:
+    """The ``--zygote`` fork server behind one isolated batch.  Reads
+    the batch from stdin, forks one child per job (at most ``jobs``
+    alive, each SIGKILLed once it overruns ``timeout``), and writes
+    ``[index, wait status, seconds, timed out]`` as it reaps each.  It
+    never analyzes and never starts a thread, so every child forks
+    from a cold, single-threaded interpreter."""
+    import repro.crucible.generator  # noqa: F401 -- crucible:/edit: names
+
+    batch = json.load(sys.stdin)
+    os.environ[CHILD_CHAOS_ENV] = batch["chaos"] or ""  # "" means no chaos
+    wake_r, wake_w = os.pipe()
+    os.set_blocking(wake_w, False)
+    signal_module.set_wakeup_fd(wake_w)
+    signal_module.signal(signal_module.SIGCHLD, lambda *_: None)
+    pending = list(enumerate(batch["argvs"]))[::-1]
+    running: dict[int, list] = {}  # pid -> [index, fork time, killed]
+    while pending or running:
+        while pending and len(running) < batch["jobs"]:
+            index, argv = pending.pop()
+            pid = os.fork()
+            if pid == 0:
+                _forked_child(argv, Path(batch["dir"], str(index)))
+            running[pid] = [index, time.perf_counter(), False]
+        live = [start for _, start, killed in running.values() if not killed]
+        wait = min(live) + batch["timeout"] - time.perf_counter() if live else None
+        if (wait is None or wait > 0) and select.select([wake_r], [], [], wait)[0]:
+            os.read(wake_r, 512)
+        for pid, entry in running.items():
+            if not entry[2] and time.perf_counter() - entry[1] >= batch["timeout"]:
+                os.kill(pid, signal_module.SIGKILL)
+                entry[2] = True
+        while running and (reaped := os.waitpid(-1, os.WNOHANG))[0]:
+            index, start, killed = running.pop(reaped[0])
+            seconds = time.perf_counter() - start
+            print(json.dumps([index, reaped[1], seconds, killed]), flush=True)
+    return 0
+
+
+def _forked_child(argv: list[str], output: Path) -> None:
+    """In a fresh fork of the zygote: send stdout/stderr to
+    ``<output>.out``/``.err``, run the ``--child`` path, and leave
+    through ``os._exit`` so none of the zygote's loop runs here."""
+    code = 1
     try:
-        payload = json.loads(proc.stdout.strip().splitlines()[-1])
-        record = RunRecord.from_dict(payload)
-    except (json.JSONDecodeError, IndexError, KeyError):
-        tail = (proc.stderr or proc.stdout or "").strip().splitlines()[-3:]
-        return RunRecord(
-            name=name,
-            outcome="crashed",
-            seconds=seconds,
-            mode=mode,
-            error=(
-                f"child exited with code {proc.returncode}: "
-                + (" | ".join(tail) or "no output")
-            ),
-            trace=surviving_trace(trace_path),
+        signal_module.set_wakeup_fd(-1)
+        signal_module.signal(signal_module.SIGCHLD, signal_module.SIG_DFL)
+        for fd, suffix in ((1, ".out"), (2, ".err")):
+            os.dup2(os.open(output.with_suffix(suffix), os.O_WRONLY | os.O_CREAT), fd)
+        code = main(argv)
+    except Exception:
+        traceback.print_exc()
+    finally:  # also ends an exit or interrupt here, never in the loop
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
+
+
+def _run_forked(runs: "list[tuple[str, list[str], Path | None]]", mode: str,
+                timeout: float, jobs: int) -> list[RunRecord]:
+    """Run each ``(name, child argv, trace path)`` in a child forked by
+    one ``--zygote`` process, and build its record."""
+    with tempfile.TemporaryDirectory(prefix="repro-batch-") as tmp:
+        batch = {"dir": tmp, "timeout": timeout, "jobs": jobs,
+                 "chaos": os.environ.get(CHILD_CHAOS_ENV),
+                 "argvs": [argv for _, argv, _ in runs]}
+        # A session of its own puts the zygote and its children in one
+        # process group, so a zygote that dies leaves no child running.
+        zygote = subprocess.Popen(
+            [sys.executable, "-m", "repro.benchsuite.runner", "--zygote"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+            env=child_env(), start_new_session=True,
         )
-    record.seconds = seconds
-    return record
+        reaped: dict[int, list] = {}
+        try:
+            with contextlib.suppress(BrokenPipeError), zygote.stdin:
+                json.dump(batch, zygote.stdin)
+            with zygote.stdout:
+                for line in zygote.stdout:
+                    index, *reaped_as = json.loads(line)
+                    reaped[index] = reaped_as
+        finally:
+            if len(reaped) < len(runs):
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(zygote.pid, signal_module.SIGKILL)
+            zygote.wait()
+        records = []
+        for index, (name, _, trace_path) in enumerate(runs):
+            status, seconds, timed_out = reaped.get(index, (None, 0.0, False))
+            code = None if status is None else os.waitstatus_to_exitcode(status)
+            # A signal death (segfault, OOM kill) blames the platform.
+            killed_by = None if timed_out else classify_exit(code)
+            trace = surviving_trace(trace_path)
+            if status is None:
+                diagnostic = worker_crash_diagnostic(
+                    f"batch zygote exited with code {zygote.returncode} "
+                    "before the child was reaped",
+                    signal=classify_exit(zygote.returncode), trace=trace,
+                )
+            elif timed_out:
+                diagnostic = timeout_diagnostic(timeout, trace=trace)
+            elif killed_by is not None:
+                diagnostic = worker_crash_diagnostic(
+                    f"child killed by {killed_by} (exit code {code})",
+                    signal=killed_by, trace=trace,
+                )
+            else:
+                stdout, stderr = (
+                    path.read_text(errors="replace") if path.exists() else ""
+                    for path in map(Path(tmp, str(index)).with_suffix, (".out", ".err"))
+                )
+                records.append(parse_child_output(
+                    name, mode, code, stdout, stderr, seconds, trace_path))
+                continue
+            records.append(RunRecord(
+                name=name, outcome="timeout" if timed_out else "crashed",
+                seconds=seconds, mode=mode, error=diagnostic.message,
+                signal=killed_by, diagnostics=[diagnostic.to_dict()],
+                trace=trace,
+            ))
+        return records
 
 
 def run_batch(
@@ -479,21 +538,21 @@ def run_batch(
     cache: bool = True,
     lemmas: bool = True,
 ) -> BatchReport:
-    """Run *names* (default: every known benchmark), one isolated
-    subprocess each, and aggregate the outcomes.  With *trace_dir*,
-    every run writes a span trace to
-    ``<trace_dir>/<name>.trace.jsonl`` (the parent names the file, the
-    child writes it, so traces survive the isolation boundary and even
-    child death).
+    """Run *names* (default: every known benchmark), each in its own
+    child process, and aggregate the outcomes.  One ``--zygote``
+    interpreter per call imports the analyzer once and forks a cold
+    child per benchmark, so a batch pays interpreter start and
+    ``import repro`` once.  With *trace_dir*, every run writes a span
+    trace to ``<trace_dir>/<name>.trace.jsonl`` (the parent names the
+    file, the child writes it, so traces survive the isolation
+    boundary and even child death).
 
-    ``jobs > 1`` runs up to that many *child processes* concurrently
-    (a thread per in-flight child blocks on its subprocess, so the
-    parallelism is real OS processes and crash isolation is exactly
-    the serial path's).  Records land in input order regardless of
-    completion order, so the batch JSON is byte-identical to a serial
-    run modulo the timing fields; per-child trace files keep their
-    parent-assigned names.  Parallelism requires the subprocess
-    boundary: ``jobs > 1`` with ``isolate=False`` is rejected."""
+    ``jobs > 1`` lets the zygote keep up to that many children alive
+    at once, each still its own OS process.  Records land in input
+    order regardless of completion order, so the batch JSON is
+    byte-identical to a serial run modulo the timing fields.
+    Parallelism requires the process boundary: ``jobs > 1`` with
+    ``isolate=False`` is rejected."""
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     if jobs > 1 and not isolate:
@@ -505,27 +564,25 @@ def run_batch(
         names = sorted(benchmark_factories())
     if trace_dir is not None:
         Path(trace_dir).mkdir(parents=True, exist_ok=True)
-
-    def run_at(name: str) -> RunRecord:
-        trace_path = (
-            trace_file_for(trace_dir, name) if trace_dir is not None else None
-        )
-        if isolate:
-            return _run_isolated(
-                name, mode, timeout, deadline, unroll, state_budget,
-                trace_path=trace_path, cache=cache, lemmas=lemmas,
-            )
-        return run_one(
-            name, mode, deadline, unroll, state_budget,
-            trace_path=trace_path, cache=cache, lemmas=lemmas,
-        )
-
-    if jobs > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(run_at, names))
-    else:
-        records = [run_at(name) for name in names]
-    return BatchReport(records, mode=mode, isolated=isolate)
+    traces = [trace_file_for(trace_dir, name) if trace_dir is not None
+              else None for name in names]
+    if not isolate:
+        records = [
+            run_one(name, mode, deadline, unroll, state_budget,
+                    trace_path=trace_path, cache=cache, lemmas=lemmas)
+            for name, trace_path in zip(names, traces)
+        ]
+        return BatchReport(records, mode=mode, isolated=False)
+    flags = ["--mode", mode, "--unroll", str(unroll),
+             "--state-budget", str(state_budget)]
+    flags += ["--deadline", str(deadline)] * (deadline is not None)
+    flags += ["--no-cache"] * (not cache) + ["--no-lemmas"] * (not lemmas)
+    runs = [
+        (name, ["--child", name, *flags]
+         + (["--trace", str(trace_path)] if trace_path else []), trace_path)
+        for name, trace_path in zip(names, traces)
+    ]
+    return BatchReport(_run_forked(runs, mode, timeout, jobs), mode=mode)
 
 
 # ----------------------------------------------------------------------
@@ -544,6 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="benchmarks to run (default: all known)",
     )
     parser.add_argument("--child", metavar="NAME", help=argparse.SUPPRESS)
+    parser.add_argument("--zygote", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument(
         "--mode",
         choices=("strict", "degrade"),
@@ -575,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-isolate",
         action="store_true",
-        help="run in-process instead of one subprocess per benchmark",
+        help="run in-process instead of one child process per benchmark",
     )
     parser.add_argument(
         "--jobs",
@@ -632,6 +690,8 @@ def main(argv: "list[str] | None" = None) -> int:
         for name in sorted(benchmark_factories()):
             print(name)
         return 0
+    if args.zygote:
+        return _zygote()
     if args.child:
         apply_child_chaos()
         record = run_one(

@@ -2,8 +2,8 @@
 classification, chaos hooks, and the crash-record diagnostics.
 
 Two subsystems put an OS process boundary around one analysis: the
-batch runner (:mod:`repro.benchsuite.runner`, one short-lived child
-per benchmark) and the serve supervisor
+batch runner (:mod:`repro.benchsuite.runner`, one child per benchmark,
+forked by a per-batch zygote) and the serve supervisor
 (:mod:`repro.serve.supervisor`, a pool of long-lived workers).  Both
 need the same four pieces, extracted here so their crash records stay
 byte-compatible:

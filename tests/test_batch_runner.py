@@ -1,15 +1,26 @@
 """Tests for the crash-isolating batch runner and its report."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
+import pytest
 
 from repro.benchsuite.runner import (
     BatchReport,
     RunRecord,
     benchmark_factories,
     main as runner_main,
+    parse_child_output,
     run_batch,
     run_one,
 )
+from repro.childproc import CHILD_CHAOS_ENV, child_env
 from repro.reporting import render_batch_report
 from repro.__main__ import main as cli_main
 
@@ -82,10 +93,11 @@ class TestBatchIsolated:
         assert record.result["outcome"] == "pass"
 
     def test_isolation_timeout_is_a_timeout_record(self):
-        # 181.mcf cannot finish in a fraction of the interpreter
-        # startup time: the child is killed and classified, the batch
+        # perimeter needs ~0.4 s of analysis, several times the
+        # timeout, even in a child forked with the analyzer already
+        # imported: the child is killed and classified, the batch
         # itself survives.
-        report = run_batch(["181.mcf"], isolate=True, timeout=0.05)
+        report = run_batch(["perimeter"], isolate=True, timeout=0.05)
         (record,) = report.records
         assert record.outcome == "timeout"
         assert not report.ok
@@ -279,3 +291,107 @@ class TestParallelBatch:
         assert report.counts["crashed"] == 2
         assert report.signals == {"SIGKILL": 2}
         assert not report.ok
+
+
+class TestParseChildOutput:
+    @pytest.mark.parametrize(
+        "stdout",
+        ["", "null", "[1]", "42", '{"outcome": "pass"}', "Traceback (most"],
+    )
+    def test_malformed_output_is_crash_record(self, stdout):
+        record = parse_child_output("treeadd", "degrade", 1, stdout, "boom")
+        assert record.outcome == "crashed"
+        assert record.name == "treeadd"
+        assert record.error == "child exited with code 1: boom"
+
+    def test_record_line_is_parsed(self):
+        line = json.dumps(RunRecord(name="treeadd", outcome="pass").to_dict())
+        record = parse_child_output(
+            "treeadd", "degrade", 0, "noise\n" + line, seconds=0.5
+        )
+        assert record.outcome == "pass"
+        assert record.seconds == 0.5
+
+
+def _children_of(pid: int) -> list[int]:
+    """Live child pids of *pid*, read from /proc."""
+    children = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rpartition(")")[2].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid:
+            children.append(int(stat.parent.name))
+    return children
+
+
+class TestZygote:
+    def test_children_start_cold(self):
+        # Warm every cache this process has, then check the forked
+        # children still count exactly what a fresh interpreter does.
+        run_one("treeadd")
+        report = run_batch(["treeadd", "treeadd"], timeout=120.0)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "repro.benchsuite.runner",
+             "--child", "treeadd"],
+            capture_output=True, text=True, env=child_env(), check=True,
+        )
+        expected = json.loads(fresh.stdout.splitlines()[-1])["result"]["stats"]
+        for record in report.records:
+            assert record.outcome == "pass"
+            assert _scrub_timing(record.result["stats"]) == _scrub_timing(
+                expected
+            )
+
+    def test_no_leftover_processes(self):
+        script = (
+            "import os, resource\n"
+            "from repro.benchsuite.runner import run_batch\n"
+            "assert run_batch(['treeadd', 'power'], jobs=2).ok\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise SystemExit('a batch process was left unreaped')\n"
+            "usage = resource.getrusage(resource.RUSAGE_CHILDREN)\n"
+            "assert usage.ru_maxrss > 0\n"
+        )
+        subprocess.run(
+            [sys.executable, "-c", script], env=child_env(), check=True,
+            timeout=120,
+        )
+
+    @pytest.mark.skipif(not Path("/proc").is_dir(), reason="needs /proc")
+    def test_zygote_death_crashes_unfinished_records(self, monkeypatch):
+        monkeypatch.setenv(CHILD_CHAOS_ENV, "sleep:60")
+        started = []
+        real_popen = subprocess.Popen
+
+        def recording_popen(*args, **kwargs):
+            started.append(real_popen(*args, **kwargs))
+            return started[-1]
+
+        def kill_zygote():
+            give_up = time.monotonic() + 30
+            while not started and time.monotonic() < give_up:
+                time.sleep(0.01)
+            # Wait for the sleeping child, so the zygote dies mid-batch.
+            while (time.monotonic() < give_up
+                   and not _children_of(started[0].pid)):
+                time.sleep(0.01)
+            os.kill(started[0].pid, signal.SIGKILL)
+
+        monkeypatch.setattr(subprocess, "Popen", recording_popen)
+        killer = threading.Thread(target=kill_zygote)
+        killer.start()
+        begin = time.monotonic()
+        report = run_batch(["treeadd", "power"], timeout=120.0)
+        killer.join(timeout=60)
+        assert not killer.is_alive()
+        assert time.monotonic() - begin < 30
+        assert report.counts["crashed"] == 2
+        for record in report.records:
+            assert record.diagnostics[0]["code"] == "worker-crashed"
+            assert "SIGKILL" in record.diagnostics[0]["detail"]
