@@ -14,10 +14,9 @@ benchmark), ``--metrics`` prints the canonical engine metrics, and
 ``python -m repro trace-summary FILE`` aggregates a trace into the
 top-down time/count tree.
 
-Performance: ``python -m repro bench`` measures cached vs uncached
-analysis throughput over the suite and writes a ``BENCH_<date>.json``
-baseline; ``--no-cache`` disables the entailment cache for a single
-run.
+Performance: ``python3 perfbench/run.py`` (see ``perfbench/README.md``)
+is the benchmark; ``--no-cache`` disables the entailment, unfold and
+fold memos for a single run.
 
 Soundness gate: ``python -m repro diff`` runs seeded crucible edit
 pairs and the curated programs under a fixed pairwise cover of engine
@@ -148,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache",
         action="store_true",
         help="disable the entailment cache (verdicts are identical "
-        "either way; see 'python -m repro bench')",
+        "either way; see 'python -m repro diff')",
     )
     parser.add_argument(
         "--no-lemmas",
@@ -484,10 +483,6 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     if argv and argv[0] == "trace-summary":
         return _trace_summary(argv[1:])
-    if argv and argv[0] == "bench":
-        from repro.perf.bench import main as bench_main
-
-        return bench_main(argv[1:])
     if argv and argv[0] == "serve":
         from repro.serve.server import main as serve_main
 

@@ -80,8 +80,6 @@ class ShapeAnalysis:
     deadline_seconds: float | None = None
     #: Optional global state cap across all procedures and retries.
     max_states: int | None = None
-    #: Procedure-activation depth guard (see :class:`Budget`).
-    max_depth: int = 96
     #: Unroll bound for the retry attempt in degrade mode (None or a
     #: value <= max_unroll disables escalation).
     escalate_unroll: int | None = 3
@@ -90,9 +88,6 @@ class ShapeAnalysis:
     engine_factory: Callable[..., ShapeEngine] | None = None
     #: Write a hierarchical span trace (JSONL) of the run to this path.
     trace_path: "str | Path | None" = None
-    #: Pre-built tracer (overrides ``trace_path``); useful when a batch
-    #: harness wants to share a sink or stub the clock.
-    tracer: "Tracer | None" = None
     #: Pre-built metrics registry; a fresh one is created per ``run()``
     #: otherwise.  Passing one in lets callers aggregate across runs.
     metrics: "Metrics | None" = None
@@ -100,12 +95,9 @@ class ShapeAnalysis:
     #: duration of the run (``--no-cache`` turns this off; verdicts are
     #: identical either way, see tests/test_perf_properties.py).
     enable_cache: bool = True
-    #: LRU capacity of the per-run entailment cache.
-    cache_size: int = 4096
-    #: Pre-built entailment cache (overrides ``enable_cache`` /
-    #: ``cache_size``); cache keys are fully structural, so a cache
-    #: passed across runs carries verdicts over -- the bench harness
-    #: uses this to measure warm-cache throughput.
+    #: Pre-built entailment cache (overrides ``enable_cache``); cache
+    #: keys are fully structural, so a cache passed across runs carries
+    #: verdicts over -- the serve worker keeps one warm across jobs.
     cache: "perf.EntailmentCache | None" = None
     #: Pre-built unfold memo / fold identity memo (override the
     #: per-run ones).  Like ``cache``, their keys are canonical forms
@@ -151,21 +143,15 @@ class ShapeAnalysis:
         """Run the whole pipeline; never raises on analysis failure --
         the paper's halt-and-report becomes ``result.failure`` plus a
         structured ``result.diagnostics`` list."""
-        tracer = self.tracer
-        owns_tracer = False
-        if tracer is None:
-            if self.trace_path is not None:
-                tracer = Tracer.to_path(self.trace_path)
-                owns_tracer = True
-            else:
-                tracer = NULL_TRACER
+        owns_tracer = self.trace_path is not None
+        tracer = (
+            Tracer.to_path(self.trace_path) if owns_tracer else NULL_TRACER
+        )
         metrics = self.metrics if self.metrics is not None else Metrics()
         cache = self.cache
         if cache is None:
             cache = (
-                perf.EntailmentCache(self.cache_size)
-                if self.enable_cache
-                else perf.NULL_CACHE
+                perf.EntailmentCache() if self.enable_cache else perf.NULL_CACHE
             )
         # The unfold/fold memos default to per-run instances (they
         # hold state objects, so sharing is opt-in via the
@@ -176,15 +162,11 @@ class ShapeAnalysis:
         fold_cache = self.fold_cache
         if unfold_cache is None:
             unfold_cache = (
-                perf.EntailmentCache(self.cache_size)
-                if self.enable_cache
-                else perf.NULL_CACHE
+                perf.EntailmentCache() if self.enable_cache else perf.NULL_CACHE
             )
         if fold_cache is None:
             fold_cache = (
-                perf.IdentityMemo(self.cache_size)
-                if self.enable_cache
-                else perf.NULL_CACHE
+                perf.IdentityMemo() if self.enable_cache else perf.NULL_CACHE
             )
         if self.enable_lemmas:
             lemma_engine = lemmas.LemmaEngine(
@@ -207,7 +189,6 @@ class ShapeAnalysis:
             deadline_seconds=self.deadline_seconds,
             state_budget=self.state_budget,
             max_states=self.max_states,
-            max_depth=self.max_depth,
         )
         budget.start()
 

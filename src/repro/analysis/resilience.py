@@ -366,7 +366,7 @@ class Budget:
         self.depth -= 1
 
     def snapshot(self) -> dict:
-        """Budget accounting for reports and bench JSON."""
+        """Budget accounting for reports and ``--json`` records."""
         return {
             "states": self.states,
             "peak_depth": self.peak_depth,

@@ -1,4 +1,4 @@
-"""An entailment-bound stress workload for the perf bench.
+"""An entailment-bound stress workload (perfbench's ``entail-degrade``).
 
 The curated Table 4 programs spend their time in folding, renaming and
 synthesis; ``subsumes`` is a rounding error there, so they cannot show

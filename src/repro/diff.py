@@ -60,7 +60,6 @@ from repro.analysis import ShapeAnalysis
 from repro.analysis.resilience import STORE_INVALID
 from repro.benchsuite.runner import _resolve_benchmark
 from repro.childproc import child_env
-from repro.perf.bench import QUICK_SUITE
 from repro.store.chaos import CHAOS_ENV
 from repro.store.codec import payload_bytes
 from repro.store.disk import DiskStore
@@ -73,8 +72,19 @@ __all__ = ["CURATED", "FAULTS", "ROWS", "core_verdict", "main",
 #: incremental.  A pairwise cover plus the all-on/all-off corners.
 ROWS = ("1111", "0000", "1100", "0011", "1010", "0101")
 
-#: Curated programs, each run in strict and in degrade mode.
-CURATED = (*QUICK_SUITE, "lemma-refold", "lemma-diffroot", "lemma-sharedtail")
+#: Curated programs, each run in strict and in degrade mode: the list
+#: staples, the entailment-bound stress program and the lemma programs.
+CURATED = (
+    "list-build",
+    "list-traverse",
+    "list-reverse",
+    "list-delete",
+    "list-doubly",
+    "entail-stress",
+    "lemma-refold",
+    "lemma-diffroot",
+    "lemma-sharedtail",
+)
 
 #: Per-seed store fault rotation.  ``none`` keeps the happy path (and
 #: the hit requirements) honest; ``kill`` crashes the populating writer.

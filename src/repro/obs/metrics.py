@@ -3,8 +3,8 @@
 This registry replaces the ad-hoc ``_Stats`` dataclass the engine used
 to keep and the undocumented, inconsistently-named keys it leaked into
 ``AnalysisResult.stats``.  Every metric the pipeline records is named
-here; batch drivers, the bench JSON and CI treat any name outside this
-table as a schema bug (``Metrics.check_schema``).
+here; batch drivers, the ``--json`` records and CI treat any name
+outside this table as a schema bug (``Metrics.check_schema``).
 
 Canonical metric names
 ======================

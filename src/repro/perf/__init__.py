@@ -1,4 +1,4 @@
-"""Performance layer: canonical interning, memoized entailment, bench.
+"""Performance layer: canonical interning and memoized entailment.
 
 The hot path of the analysis is entailment checking during fixpoint
 iteration: ``subsumes`` re-unifies structurally identical state pairs
@@ -12,8 +12,7 @@ package makes those repeats cheap without touching soundness:
   :class:`~repro.perf.cache.EntailmentCache` the entailment layer
   consults, with hit/miss/eviction counters surfaced as
   ``entailment.cache.*`` metrics;
-* :mod:`repro.perf.bench` -- ``python -m repro bench``, the benchmark
-  harness that writes ``BENCH_<date>.json`` perf baselines.
+* :mod:`repro.perf.revisits` -- the WTO-vs-FIFO worklist revisit gate.
 
 Following the :mod:`repro.obs` pattern, the *active* cache is a
 module-level global (:data:`CACHE`) swapped in per analysis run by
@@ -22,7 +21,8 @@ module-level global (:data:`CACHE`) swapped in per analysis run by
 structural -- canonical state keys plus a structural
 predicate-environment token -- so a cache handed to several runs
 (``ShapeAnalysis(cache=...)``) legitimately carries verdicts across
-them; the bench harness measures exactly that warm path.
+them; the serve worker and perfbench's ``edit-loop`` workload run
+exactly that warm path.
 """
 
 from __future__ import annotations

@@ -30,8 +30,8 @@ recursion limit):
 
 Everything is deterministic: successor tuples come straight from the
 instruction encoding and all tie-breaks are positional, so the same
-procedure always yields the same WTO (the scheduling differential in
-``perf/bench.py`` relies on this).
+procedure always yields the same WTO (the wto/fifo rows of ``python -m
+repro diff`` rely on this).
 """
 
 from __future__ import annotations

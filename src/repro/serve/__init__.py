@@ -3,9 +3,9 @@
 ``python -m repro serve`` turns the one-shot analyzer into a
 long-lived daemon: a bounded job queue fronting a pool of *persistent*
 worker processes that keep the entailment cache and the unfold/fold
-memos warm across jobs, so the ~5x warm-path speedup the bench
-harness measures becomes the steady-state number for every request
-instead of a benchmark artifact.
+memos warm across jobs, so the ~5x warm-path speedup of repeated
+runs becomes the steady-state number for every request instead of a
+benchmark artifact.
 
 The service layer is deliberately paranoid, because the crucible
 already proved the analysis can crash, hang and exhaust budgets:

@@ -13,7 +13,7 @@ what a service owner actually wants to know:
 * **cache warmth** -- mean ``entailment.cache`` hit rate of each
   worker generation's *first* job (cold) vs all later jobs (warm).
   The gap is the PR-4 warm-path speedup showing up as a steady-state
-  service number rather than a bench-harness artifact.
+  service number rather than a benchmark artifact.
 
 The generator is also importable (:func:`run_load`) so the smoke
 harness and tests reuse the same traffic engine.

@@ -9,8 +9,8 @@ are handed to every :class:`ShapeAnalysis` run, so job N+1 replays
 the entailment verdicts and Figure-6 case analyses job N paid for.
 All three are keyed on canonical forms plus the structural
 ``PredicateEnv.cache_token()`` (PR-4/PR-5 machinery), which is what
-makes cross-job reuse sound -- the bench harness differentially
-checks exactly this sharing.
+makes cross-job reuse sound -- ``python -m repro diff`` and the
+cache-sharing tests in ``tests/test_perf_properties.py`` check it.
 
 Wire format (one JSON object per line)::
 

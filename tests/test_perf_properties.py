@@ -5,11 +5,10 @@ alpha-renaming-invariant and memoized canonical forms are invalidated
 by every state mutation.  This suite proves both properties over
 randomized states, then closes the loop end to end: cache-on and
 cache-off analyses of fifty crucible fuzz programs must produce
-identical verdict fingerprints, and the bench harness must report the
-same.
+identical verdict fingerprints, and a cache shared by two runs must
+carry the first run's verdicts into the second.
 """
 
-import json
 import random
 
 import pytest
@@ -32,6 +31,36 @@ from repro.logic import (
 from repro.logic.canonical import canonical_key, canonicalize
 
 _FIELDS = ("next", "prev", "data")
+
+#: Verdict-fingerprint stat counters: identical between cached and
+#: uncached runs iff the analysis took the same trajectory.  Cache and
+#: timing metrics are deliberately absent.
+_VERDICT_COUNTERS = (
+    "engine.states",
+    "engine.instructions",
+    "engine.invariants.synthesized",
+    "engine.summaries.reused",
+    "engine.procedures.analyzed",
+    "entailment.queries",
+    "entailment.subsumed",
+    "entailment.rejected",
+    "entailment.lemma.applied",
+)
+
+
+def _verdict(result) -> dict:
+    """The verdict fingerprint of one analysis result."""
+    out = {
+        "outcome": result.outcome,
+        "failure": result.failure,
+        "attempts": result.attempts,
+        "exit_states": len(result.exit_states),
+        "predicates": len(result.env),
+    }
+    for name in _VERDICT_COUNTERS:
+        out[name] = result.stats.get(name, 0)
+    return out
+
 
 _HYPOTHESIS = settings(
     max_examples=50,
@@ -252,7 +281,6 @@ class TestCacheDifferential:
         from repro.analysis import ShapeAnalysis
         from repro.crucible.generator import generate_program
         from repro.logic.heapnames import reset_fresh_counter
-        from repro.perf.bench import _verdict
 
         mismatches = {}
         for seed in range(1, 51):
@@ -274,35 +302,28 @@ class TestCacheDifferential:
 
 
 class TestBenchHarness:
-    def test_bench_writes_valid_report(self, tmp_path):
-        from repro.perf import bench
-
-        out = tmp_path / "bench.json"
-        code = bench.main(["list-build", "--reps", "2", "--out", str(out)])
-        assert code == 0
-        report = json.loads(out.read_text())
-        assert report["schema"] == bench.BENCH_SCHEMA
-        assert report["verdict_mismatches"] == []
-        (entry,) = report["benchmarks"]
-        assert entry["name"] == "list-build"
-        assert entry["verdicts_match"]
-        assert len(entry["uncached_seconds"]) == 2
-        assert report["totals"]["uncached_seconds"] > 0
-
-    def test_rejects_nonpositive_reps(self):
-        from repro.perf import bench
-
-        assert bench.main(["--reps", "0"]) == 2
-
     def test_cache_carries_across_repetitions(self):
-        from repro.perf import bench
+        """Cache keys are fully structural, so a cache shared by two
+        runs of the same program must serve the second run's queries
+        from the first run's entries, without changing the verdict."""
+        from repro.analysis import ShapeAnalysis
+        from repro.benchsuite.runner import _resolve_benchmark
+        from repro.diff import core_verdict
+        from repro.perf import EntailmentCache
 
-        report = bench.run_bench(
-            names=["list-build"], repetitions=2, deadline=30.0
-        )
-        cache = report["benchmarks"][0]["cache"]
-        # Repetition 2 replays repetition 1's queries against the
-        # shared cache: the warm rep must be nearly all hits.
-        assert cache["rep_hit_rates"][1] > 0.5
-        assert report["totals"]["list_cache_hits"] > 0
-        assert report["verdict_mismatches"] == []
+        shared = EntailmentCache()
+        verdicts = []
+        for _ in range(2):
+            hits, misses = shared.hits, shared.misses
+            result = ShapeAnalysis(
+                _resolve_benchmark("list-build"),
+                name="list-build",
+                mode="degrade",
+                deadline_seconds=30.0,
+                cache=shared,
+            ).run()
+            verdicts.append(core_verdict(result))
+        hits, misses = shared.hits - hits, shared.misses - misses
+        # The warm run replays the cold run's queries: nearly all hits.
+        assert hits / (hits + misses) > 0.5
+        assert verdicts[0] == verdicts[1]

@@ -2,8 +2,8 @@
 merging, quantiles, wire forms), metric snapshots and the Prometheus
 exposition, histogram-aware stat merging across batch children, the
 flamegraph/hotspot exports (including torn traces from killed
-workers), the noise-aware bench comparison gate, and the serve
-``stats`` op end to end against a live daemon."""
+workers), and the serve ``stats`` op end to end against a live
+daemon."""
 
 import json
 import threading
@@ -15,7 +15,6 @@ from repro import obs
 from repro.obs.histo import BUCKET_BOUNDS, OVERFLOW, Histogram, bucket_index
 from repro.obs.metrics import histogram_flat_base
 from repro.obs.summary import collapse_stacks, render_collapsed, render_hotspots
-from repro.perf.bench import compare_reports, render_comparison
 from repro.__main__ import main as cli_main
 
 
@@ -299,86 +298,6 @@ class TestFlamegraph:
         ) == 0
         assert capsys.readouterr().out == ""
         assert out.read_text().strip()
-
-
-# ----------------------------------------------------------------------
-# Noise-aware bench comparison
-# ----------------------------------------------------------------------
-def _report(**benchmarks) -> dict:
-    return {
-        "date": "2026-01-01",
-        "benchmarks": [
-            {
-                "name": name,
-                "uncached_seconds": list(uncached),
-                "cached_seconds": list(uncached),
-            }
-            for name, uncached in benchmarks.items()
-        ],
-    }
-
-
-class TestBenchCompare:
-    def test_self_comparison_is_clean(self):
-        report = _report(treeadd=[0.5, 0.4, 0.6], power=[1.0, 1.1])
-        comparison = compare_reports(report, report)
-        assert comparison["ok"] is True
-        assert comparison["regressions"] == []
-        assert all(
-            row["verdict"] == "ok" for row in comparison["benchmarks"]
-        )
-        assert all(
-            m["ratio"] == 1.0
-            for row in comparison["benchmarks"]
-            for m in row["metrics"].values()
-        )
-
-    def test_doubled_time_is_a_regression(self):
-        base = _report(treeadd=[0.5, 0.4, 0.6])
-        slow = _report(treeadd=[1.0, 0.8, 1.2])
-        comparison = compare_reports(slow, base)
-        assert comparison["ok"] is False
-        assert comparison["regressions"] == ["treeadd"]
-        assert (
-            comparison["benchmarks"][0]["metrics"]["uncached"]["ratio"]
-            == pytest.approx(2.0)
-        )
-
-    def test_improvement_is_symmetric(self):
-        base = _report(treeadd=[1.0, 0.8, 1.2])
-        fast = _report(treeadd=[0.5, 0.4, 0.6])
-        comparison = compare_reports(fast, base)
-        assert comparison["ok"] is True
-        assert comparison["improved"] == ["treeadd"]
-
-    def test_tiny_benchmark_blowup_below_floor_is_ok(self):
-        # 2x relative, but 4ms absolute: scheduler jitter, not a
-        # regression (the min_seconds floor holds it back).
-        base = _report(tiny=[0.004, 0.004])
-        slow = _report(tiny=[0.008, 0.008])
-        assert compare_reports(slow, base)["ok"] is True
-
-    def test_single_rep_is_skipped_not_judged(self):
-        base = _report(treeadd=[0.5])
-        slow = _report(treeadd=[2.0])
-        comparison = compare_reports(slow, base)
-        assert comparison["ok"] is True
-        assert comparison["skipped"] == ["treeadd"]
-
-    def test_missing_from_baseline_is_reported_not_judged(self):
-        comparison = compare_reports(
-            _report(brandnew=[0.5, 0.5]), _report(treeadd=[0.5, 0.5])
-        )
-        assert comparison["ok"] is True
-        assert comparison["missing"] == ["brandnew"]
-
-    def test_render_mentions_verdict_and_ratios(self):
-        base = _report(treeadd=[0.5, 0.4, 0.6])
-        slow = _report(treeadd=[1.0, 0.8, 1.2])
-        text = render_comparison(compare_reports(slow, base))
-        assert "REGRESSION" in text and "x2.0" in text
-        clean = render_comparison(compare_reports(base, base))
-        assert "OK" in clean and "1 regressions" not in clean
 
 
 # ----------------------------------------------------------------------

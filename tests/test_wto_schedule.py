@@ -9,8 +9,8 @@ On the crucible's generated programs the whole verdict -- exit
 states, synthesized predicates, diagnostics included -- coincides,
 and the differential below pins that; richer suite benchmarks may
 legitimately reach the same conclusion through differently granular
-abstractions (see DESIGN.md "Fixpoint order & state sets"), which the
-bench harness checks at conclusion level on every run.
+abstractions (see DESIGN.md "Fixpoint order & state sets"), which
+``python -m repro diff`` checks at conclusion level.
 """
 
 from repro.analysis import ShapeAnalysis
