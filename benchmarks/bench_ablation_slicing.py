@@ -61,7 +61,7 @@ def test_print_ablation(capsys):
                 "ok" if with_slicing.succeeded else "FAIL",
                 f"{without.shape_seconds * 1000:.1f}",
                 "ok" if without.succeeded else "FAIL",
-                f"{with_slicing.stats['states']}/{without.stats['states']}",
+                f"{with_slicing.stats['engine.states']}/{without.stats['engine.states']}",
             ]
         )
     with capsys.disabled():

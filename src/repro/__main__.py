@@ -106,8 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="strict",
         help=(
             "failure semantics: strict halts on the first failure (the "
-            "paper's behavior); degrade retries with an escalated "
-            "unroll bound, then contains failures per loop/procedure"
+            "paper's behavior); degrade runs the same single analysis "
+            "but contains failures per loop/procedure"
         ),
     )
     parser.add_argument(
@@ -146,8 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-cache",
         action="store_true",
-        help="disable the entailment cache (verdicts are identical "
-        "either way; see 'python -m repro diff')",
+        help="disable the entailment, unfold and fold memos (verdicts "
+        "are identical either way; see 'python -m repro diff')",
     )
     parser.add_argument(
         "--no-lemmas",
@@ -391,18 +391,37 @@ def _resolve_input(args, parser) -> "tuple[object, str, object] | int":
     return EXIT_USAGE
 
 
+#: Single-run engine flags the batch runner has no way to pass on.
+_BATCH_UNSUPPORTED = {
+    "--no-slicing": "no_slicing",
+    "--no-wto": "no_wto",
+    "--no-incremental": "no_incremental",
+    "--store": "store",
+}
+
+
 def _run_batch(args) -> int:
     from repro.benchsuite.runner import run_batch
 
+    unsupported = [
+        flag for flag, dest in _BATCH_UNSUPPORTED.items() if getattr(args, dest)
+    ]
+    if unsupported:
+        print(
+            f"repro: --batch cannot honor {', '.join(unsupported)}",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     report = run_batch(
         names=None,
-        mode=args.mode if args.mode else "degrade",
+        mode=args.mode,
         timeout=args.timeout,
         deadline=args.deadline,
         unroll=args.unroll,
         state_budget=args.state_budget,
         isolate=not args.no_isolate,
         trace_dir=args.trace,
+        cache=not args.no_cache,
         lemmas=not args.no_lemmas,
     )
     print(report.render())
@@ -468,11 +487,7 @@ def _run_crucible(args) -> int:
 def _render_metrics(stats: dict) -> str:
     from repro.reporting import render_table
 
-    rows = [
-        [key, value]
-        for key, value in sorted(stats.items())
-        if "." in key  # canonical names only; legacy aliases duplicate
-    ]
+    rows = [[key, value] for key, value in sorted(stats.items())]
     return render_table(["Metric", "Value"], rows, title="Engine metrics")
 
 

@@ -14,20 +14,17 @@ halt-and-report, see :mod:`repro.analysis.resilience`):
 * ``mode="strict"`` (default) -- the paper's semantics: the first
   synthesis/verification failure halts the analysis and is reported in
   ``result.failure`` / ``result.diagnostics``;
-* ``mode="degrade"`` -- a failed run is first *retried* with an
-  escalated unroll bound (``escalate_unroll``, the paper's "2
-  suffices" knob raised to 3), and if that still fails the engine
-  reruns with failure containment: a poisoned loop or procedure is
-  confined to a havoc summary and the rest of the program is still
-  analyzed, each contained failure recorded as a recovered
-  diagnostic.
+* ``mode="degrade"`` -- the same single engine run, with failure
+  containment: a poisoned loop or procedure is confined to a havoc
+  summary and the rest of the program is still analyzed, each
+  contained failure recorded as a recovered diagnostic.
 
-Either way ``run()`` never raises on analysis failure, and since the
-resilience layer it also never lets an *unexpected* exception
-(``RecursionError``, ``ModelError``, an engine bug) escape: those
-become an ``internal-error`` diagnostic instead of crashing the
-caller.  A wall-clock ``deadline_seconds`` bounds the whole run
-(including retries) through cooperative checks in the engine worklist.
+Either way the engine runs once, and ``run()`` never raises on
+analysis failure.  Since the resilience layer it also never lets an
+*unexpected* exception (``RecursionError``, ``ModelError``, an engine
+bug) escape: those become an ``internal-error`` diagnostic instead of
+crashing the caller.  A wall-clock ``deadline_seconds`` bounds the run
+through cooperative checks in the engine worklist.
 """
 
 from __future__ import annotations
@@ -42,12 +39,12 @@ from repro import obs, perf
 from repro.ir.program import Program
 from repro.logic import lemmas
 from repro.logic.predicates import PredicateEnv
-from repro.obs import Metrics, NULL_TRACER, Tracer, with_legacy_aliases
+from repro.obs import Metrics, NULL_TRACER, Tracer
 from repro.prepass.rectypes import recursive_types
 from repro.prepass.slicing import slice_program
 from repro.prepass.steensgaard import PointerAnalysis
-from repro.analysis.interproc import AnalysisFailure, ShapeEngine
-from repro.analysis.resilience import Budget, BudgetExhausted, Diagnostic
+from repro.analysis.interproc import ShapeEngine
+from repro.analysis.resilience import Budget, Diagnostic
 from repro.analysis.results import AnalysisResult
 
 __all__ = ["ShapeAnalysis"]
@@ -67,7 +64,7 @@ class ShapeAnalysis:
     enable_slicing: bool = True
     state_budget: int = 20000
     #: ``"strict"`` (paper semantics: halt and report) or ``"degrade"``
-    #: (retry with escalated unroll, then contain failures).
+    #: (contain failures and analyze the rest).
     mode: str = "strict"
     #: Fixpoint worklist schedule: ``"wto"`` (default) drives a
     #: priority worklist over each procedure's weak topological order,
@@ -78,11 +75,6 @@ class ShapeAnalysis:
     schedule: str = "wto"
     #: Wall-clock deadline for the whole run in seconds (None = off).
     deadline_seconds: float | None = None
-    #: Optional global state cap across all procedures and retries.
-    max_states: int | None = None
-    #: Unroll bound for the retry attempt in degrade mode (None or a
-    #: value <= max_unroll disables escalation).
-    escalate_unroll: int | None = 3
     #: Injectable engine constructor -- lets tests and fault-injection
     #: harnesses swap the engine without monkeypatching.
     engine_factory: Callable[..., ShapeEngine] | None = None
@@ -188,7 +180,6 @@ class ShapeAnalysis:
         budget = Budget(
             deadline_seconds=self.deadline_seconds,
             state_budget=self.state_budget,
-            max_states=self.max_states,
         )
         budget.start()
 
@@ -215,99 +206,56 @@ class ShapeAnalysis:
                 target = self.program
             slicing_seconds = time.perf_counter() - start
 
-        plans = self._plans()
-        make_engine = self.engine_factory or ShapeEngine
+        # The engine picks up the activated obs.TRACER/obs.METRICS as
+        # defaults, so custom engine factories need not accept (or
+        # forward) tracer/metrics keywords.  The schedule keyword is only
+        # forwarded when overridden, so factories with closed signatures
+        # keep working under the default.  Likewise the store keyword is
+        # only forwarded when one is attached, and the incremental knobs
+        # only off-default.
+        extra = {} if self.schedule == "wto" else {"schedule": self.schedule}
+        if self.store is not None:
+            extra["store"] = self.store
+        if not self.enable_incremental:
+            extra["incremental"] = False
+        if self.fixpoint_table is not None:
+            extra["fixpoint"] = self.fixpoint_table
         diagnostics: list[Diagnostic] = []
         failure: str | None = None
         exit_states = []
-        engine = None
-        attempts = 0
         start = time.perf_counter()
-        shape_span = tracer.span("phase.shape") if tracer.enabled else _NO_SPAN
-        with shape_span:
-            for attempt, (unroll, engine_mode) in enumerate(plans, 1):
-                attempts = attempt
-                env = PredicateEnv()
-                # The engine picks up the activated obs.TRACER/obs.METRICS
-                # as defaults, so custom engine factories need not accept
-                # (or forward) tracer/metrics keywords.  The schedule
-                # keyword is only forwarded when overridden, so factories
-                # with closed signatures keep working under the default.
-                extra = {} if self.schedule == "wto" else {
-                    "schedule": self.schedule
-                }
-                # Like ``schedule``, the store keyword is only forwarded
-                # when one is attached, so closed-signature factories
-                # keep working in the common store-less case.  Same for
-                # the incremental knobs: only forwarded off-default.
-                if self.store is not None:
-                    extra["store"] = self.store
-                if not self.enable_incremental:
-                    extra["incremental"] = False
-                if self.fixpoint_table is not None:
-                    extra["fixpoint"] = self.fixpoint_table
-                engine = make_engine(
-                    target,
-                    env,
-                    max_unroll=unroll,
-                    state_budget=self.state_budget,
-                    mode=engine_mode,
-                    budget=budget,
-                    **extra,
-                )
-                attempt_span = tracer.span(
-                    "attempt", number=attempt, unroll=unroll, mode=engine_mode
-                ) if tracer.enabled else _NO_SPAN
-                fatal: BaseException | None = None
-                with attempt_span:
-                    try:
-                        exit_states = engine.analyze()
-                    except AnalysisFailure as exc:
-                        fatal = exc
-                    except (KeyboardInterrupt, SystemExit):
-                        raise
-                    except Exception as exc:
-                        # An engine bug must not crash the caller: classify it
-                        # as internal-error and report like any other failure.
-                        fatal = exc
-                    if tracer.enabled:
-                        attempt_span["failed"] = fatal is not None
-                if fatal is None:
-                    failure = None
-                    # Export the fixpoint tables of the *successful*
-                    # attempt only: a failed attempt's tables are
-                    # partial by construction.  The engine method is
-                    # exception-contained; the getattr guard keeps
-                    # custom engine factories with plain engines alive.
-                    if self.enable_incremental:
-                        export = getattr(engine, "export_fixpoints", None)
-                        if export is not None:
-                            export()
-                    break
-                # Budget exhaustion ends the run: retrying against the same
-                # exhausted budget cannot succeed.
-                if attempt == len(plans) or isinstance(fatal, BudgetExhausted):
-                    diagnostic = Diagnostic.from_exception(fatal)
-                    diagnostics.append(diagnostic)
-                    # the diagnostic message carries the exception type for
-                    # internal errors ("RecursionError: ...")
-                    failure = diagnostic.message
-                    exit_states = []
-                    break
-                next_unroll, next_mode = plans[attempt]
-                diagnostics.append(
-                    Diagnostic.from_exception(
-                        fatal,
-                        recovered=True,
-                        detail=(
-                            f"retrying with unroll={next_unroll}"
-                            if next_mode == "strict"
-                            else "degrading: containing failures"
-                        ),
-                    )
-                )
+        with tracer.span("phase.shape") if tracer.enabled else _NO_SPAN:
+            make_engine = self.engine_factory or ShapeEngine
+            engine = make_engine(
+                target,
+                PredicateEnv(),
+                max_unroll=self.max_unroll,
+                state_budget=self.state_budget,
+                mode=self.mode,
+                budget=budget,
+                **extra,
+            )
+            try:
+                exit_states = engine.analyze()
+            except Exception as exc:
+                # An AnalysisFailure is the paper's halt-and-report; any
+                # other exception is an engine bug, which must not crash
+                # the caller: it is classified as internal-error (the
+                # message carries the exception type, "RecursionError:
+                # ...") and reported like any other failure.
+                diagnostic = Diagnostic.from_exception(exc)
+                diagnostics.append(diagnostic)
+                failure = diagnostic.message
+            else:
+                # Export the fixpoint tables of a successful run only: a
+                # failed run's tables are partial by construction.  The
+                # engine method is exception-contained; the getattr guard
+                # keeps custom engine factories with plain engines alive.
+                if self.enable_incremental:
+                    export = getattr(engine, "export_fixpoints", None)
+                    if export is not None:
+                        export()
         shape_seconds = time.perf_counter() - start
-        assert engine is not None
         diagnostics.extend(engine.diagnostics)
 
         metrics.gauge("phase.pointer.seconds", pointer_seconds)
@@ -319,10 +267,8 @@ class ShapeAnalysis:
         metrics.observe("phase.pointer.seconds.dist", pointer_seconds)
         metrics.observe("phase.slicing.seconds.dist", slicing_seconds)
         metrics.observe("phase.shape.seconds.dist", shape_seconds)
-        metrics.gauge("analysis.attempts", attempts)
         if root is not None:
             root["failed"] = failure is not None
-            root["attempts"] = attempts
             root.__exit__(None, None, None)
 
         return AnalysisResult(
@@ -338,7 +284,6 @@ class ShapeAnalysis:
             failure=failure,
             mode=self.mode,
             diagnostics=diagnostics,
-            attempts=attempts,
             budget_stats=budget.snapshot(),
             loop_invariants=dict(engine.loop_invariants),
             summaries={
@@ -346,19 +291,5 @@ class ShapeAnalysis:
                 for name, summaries in engine.summaries.items()
                 if summaries
             },
-            stats=with_legacy_aliases(metrics.to_dict()),
+            stats=metrics.to_dict(),
         )
-
-    def _plans(self) -> list[tuple[int, str]]:
-        """The attempt ladder: (unroll bound, engine mode) per attempt."""
-        if self.mode == "strict":
-            return [(self.max_unroll, "strict")]
-        if self.mode != "degrade":
-            raise ValueError(f"unknown analysis mode {self.mode!r}")
-        plans = [(self.max_unroll, "strict")]
-        if self.escalate_unroll is not None and (
-            self.escalate_unroll > self.max_unroll
-        ):
-            plans.append((self.escalate_unroll, "strict"))
-        plans.append((self.max_unroll, "degrade"))
-        return plans

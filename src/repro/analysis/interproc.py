@@ -722,7 +722,7 @@ class ShapeEngine:
         """Record every procedure's tabulated summary table as a
         fixpoint bundle -- to the durable store and to the in-memory
         tier, whichever is attached.  Called by the driver after a
-        *successful* attempt only (a failed run's tables are partial by
+        *successful* run only (a failed run's tables are partial by
         construction); degraded bodies were never tabulated, so they
         are never exported.  Exception-contained."""
         if not self.incremental:
@@ -873,9 +873,9 @@ class ShapeEngine:
         if self.store is None:
             return
         try:
-            # Keyed on the config token so a store-on run's retry
-            # trajectory matches store-off exactly: summaries recorded
-            # by an escalated attempt are invisible to base attempts.
+            # Keyed on the config token so a store-on run's trajectory
+            # matches store-off exactly: summaries recorded under
+            # another unroll bound or mode are invisible to this run.
             self.store.record(
                 name,
                 entry,
@@ -1206,7 +1206,7 @@ class ShapeEngine:
         while heap if use_wto else worklist:
             processed += 1
             self.metrics.inc("engine.states")
-            self.budget.charge_state(name)
+            self.budget.charge_state()
             if processed > self.state_budget:
                 raise BudgetExhausted(
                     f"state budget exceeded while analyzing {name}",

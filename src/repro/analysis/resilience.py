@@ -14,12 +14,12 @@ an entire run.  This module gives failure a structure:
 * a structured exception hierarchy: :class:`AnalysisFailure` (the
   paper's halt-and-report, now carrying its own taxonomy fields) and
   its subclass :class:`BudgetExhausted` (a resource cap, never
-  retried -- retrying with the same budget cannot help);
+  contained -- degrade mode cannot give the budget back);
 
 * a :class:`Budget` threaded through the engine: wall-clock deadline,
-  the per-worklist state budget, an optional global state cap, and a
-  procedure-activation depth guard, all checked *cooperatively* at the
-  worklist loop and at procedure entry, so a runaway analysis
+  the per-worklist state budget, and a procedure-activation depth
+  guard, all checked *cooperatively* at the worklist loop and at
+  procedure entry, so a runaway analysis
   terminates promptly with a ``budget-exhausted`` diagnostic instead
   of hanging or hitting Python's recursion limit.
 
@@ -180,9 +180,8 @@ class AnalysisFailure(Exception):
 
 class BudgetExhausted(AnalysisFailure):
     """A resource cap was hit.  Distinguished from other analysis
-    failures because retry escalation is pointless: rerunning with a
-    *larger* unroll bound against the same exhausted budget can only
-    exhaust it again."""
+    failures because degrade mode never contains it: a havoc summary
+    cannot give back an exhausted budget, so it always ends the run."""
 
     def __init__(
         self,
@@ -288,10 +287,10 @@ class Budget:
 
     All checks are cooperative: the engine calls :meth:`charge_state`
     once per worklist pop and :meth:`enter_procedure` /
-    :meth:`exit_procedure` around every procedure activation.  A budget
-    is shared across retry attempts of one :class:`ShapeAnalysis` run,
-    so the wall-clock deadline bounds the *total* time including
-    escalation and degradation reruns.
+    :meth:`exit_procedure` around every procedure activation.  The
+    wall-clock deadline is armed by :meth:`start` before the pre-passes,
+    so it bounds the whole :class:`ShapeAnalysis` run, not just the
+    engine.
     """
 
     #: Wall-clock deadline in seconds for the whole run (None = off).
@@ -299,8 +298,6 @@ class Budget:
     #: Max worklist states per intraprocedural ``interpret`` call (the
     #: paper-era per-procedure cap, preserved).
     state_budget: int = 20000
-    #: Optional global cap across all procedures and retries.
-    max_states: int | None = None
     #: Max nesting depth of procedure activations (guards the engine's
     #: own recursion: a runaway sample path fails with a diagnostic
     #: long before Python's ``RecursionError``).
@@ -313,7 +310,7 @@ class Budget:
     _started_at: float | None = field(default=None, init=False)
 
     def start(self) -> None:
-        """Arm the deadline clock (idempotent across retries)."""
+        """Arm the deadline clock (idempotent)."""
         if self._started_at is None:
             self._started_at = time.perf_counter()
 
@@ -338,16 +335,9 @@ class Budget:
                 phase=phase,
             )
 
-    def charge_state(self, procedure: str) -> None:
-        """One worklist state processed: count it and poll the caps."""
+    def charge_state(self) -> None:
+        """One worklist state processed: count it and poll the deadline."""
         self.states += 1
-        if self.max_states is not None and self.states > self.max_states:
-            raise BudgetExhausted(
-                f"global state budget of {self.max_states} exhausted "
-                f"while analyzing {procedure}",
-                resource="states",
-                procedure=procedure,
-            )
         self.check_deadline()
 
     def enter_procedure(self, name: str) -> None:
@@ -373,6 +363,5 @@ class Budget:
             "elapsed_seconds": round(self.elapsed_seconds(), 6),
             "deadline_seconds": self.deadline_seconds,
             "state_budget": self.state_budget,
-            "max_states": self.max_states,
             "max_depth": self.max_depth,
         }

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 from repro.logic.predicates import PredicateDef, PredicateEnv
 from repro.logic.state import AbstractState
-from repro.obs import with_legacy_aliases
 from repro.analysis.resilience import STORE_INVALID, Diagnostic
 
 __all__ = ["AnalysisResult"]
@@ -36,7 +35,8 @@ class AnalysisResult:
     mode: str = "strict"
     #: Structured record of every failure, contained or fatal.
     diagnostics: list[Diagnostic] = field(default_factory=list)
-    #: How many engine attempts ran (1 unless retry escalation fired).
+    #: How many engine runs the analysis made: always 1 (the record
+    #: key is kept for report readers).
     attempts: int = 1
     #: Budget accounting (states, peak depth, elapsed, caps).
     budget_stats: dict = field(default_factory=dict)
@@ -56,8 +56,7 @@ class AnalysisResult:
 
     @property
     def degraded(self) -> bool:
-        """The run completed, but only by containing failures or by
-        escalating past the configured unroll bound.
+        """The run completed, but only by containing failures.
 
         ``store-invalid`` diagnostics are excluded: a rejected durable-
         store entry degrades to a cache *miss* -- the analysis recomputes
@@ -95,10 +94,7 @@ class AnalysisResult:
             "summaries": sum(len(v) for v in self.summaries.values()),
             "diagnostics": [d.to_dict() for d in self.diagnostics],
             "budget": dict(self.budget_stats),
-            # Records always carry both the canonical dotted metric
-            # names and the legacy flat keys, whichever the result was
-            # built with (idempotent either way).
-            "stats": with_legacy_aliases(dict(self.stats)),
+            "stats": dict(self.stats),
         }
 
     @property

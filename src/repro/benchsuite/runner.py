@@ -92,10 +92,6 @@ CRUCIBLE_PREFIX = "crucible:"
 #: applies that many mutations (``edit:treeadd@7+3``).
 EDIT_PREFIX = "edit:"
 
-# CHILD_CHAOS_ENV and the process-boundary helpers now live in
-# :mod:`repro.childproc`, shared with the serve supervisor; the
-# re-export keeps this module's historical public surface.
-
 
 def benchmark_factories() -> dict[str, "callable[[], Program]"]:
     """Name -> fresh-program factory for every batch-runnable workload:
@@ -649,7 +645,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-cache",
         action="store_true",
-        help="disable the per-run entailment cache in every child",
+        help="disable the per-run entailment, unfold and fold memos in "
+        "every child",
     )
     parser.add_argument(
         "--no-lemmas",

@@ -8,8 +8,8 @@ through its ``engine_factory`` hook: the factory builds a
 the plan at every boundary crossing (``rearrange``, ``fold``,
 ``entailment``, ``synthesis``, ``tabulation``) and raises the planned
 fault.  Because the boundary hook sits on the exact code paths real
-failures take, an injected fault exercises precisely the containment,
-retry-escalation, and exit-code machinery of the resilience layer --
+failures take, an injected fault exercises precisely the containment
+and exit-code machinery of the resilience layer --
 chaos testing with reproducible triggers instead of wall-clock luck.
 
 Fault kinds:
@@ -17,9 +17,10 @@ Fault kinds:
 * ``"failure"`` -- raise an :class:`AnalysisFailure` with the
   documented code for the phase (a synthesis failure at the synthesis
   boundary, a stuck execution at rearrange, ...);
-* ``"error"`` -- raise a bare :class:`RuntimeError` (an engine bug;
-  must be classified as ``internal-error``, never escape);
-* ``"budget"`` -- raise :class:`BudgetExhausted` (never retried);
+* ``"error"`` -- raise a bare :class:`RuntimeError` (an engine bug:
+  the run fails with a fatal ``internal-error`` diagnostic in either
+  mode, and the exception never escapes);
+* ``"budget"`` -- raise :class:`BudgetExhausted` (never contained);
 * ``"timeout"`` -- collapse the engine budget's wall-clock deadline to
   zero and trip it: from this crossing on the run behaves exactly like
   a real deadline expiry (subsequent cooperative checks fail too).
@@ -83,11 +84,10 @@ class FaultSpec:
 
 @dataclass
 class FaultPlan:
-    """A deterministic chaos schedule, shared across retry attempts.
+    """A deterministic chaos schedule.
 
     The plan counts boundary crossings per phase (across every engine
-    the analysis builds, so retry escalation keeps counting where the
-    failed attempt stopped) and raises when a spec matches.  With no
+    it builds) and raises when a spec matches.  With no
     specs it is a pure *recorder*: ``crossings`` exposes how often each
     boundary was crossed, which the tests use to prove every boundary
     is actually exercised.

@@ -32,7 +32,6 @@ from contextlib import contextmanager
 
 from repro.obs.histo import BUCKET_BOUNDS, Histogram
 from repro.obs.metrics import (
-    LEGACY_STAT_ALIASES,
     METRIC_SCHEMA,
     Metrics,
     NULL_METRICS,
@@ -40,7 +39,6 @@ from repro.obs.metrics import (
     histogram_flat_base,
     is_schema_name,
     merge_stat_dicts,
-    with_legacy_aliases,
 )
 from repro.obs.snapshot import (
     merge_snapshot,
@@ -58,7 +56,6 @@ from repro.obs.tracer import (
 __all__ = [
     "BUCKET_BOUNDS",
     "Histogram",
-    "LEGACY_STAT_ALIASES",
     "METRIC_SCHEMA",
     "METRICS",
     "Metrics",
@@ -77,7 +74,6 @@ __all__ = [
     "render_prometheus",
     "restore",
     "snapshot",
-    "with_legacy_aliases",
 ]
 
 #: The active tracer.  Hot paths guard with ``if obs.TRACER.enabled:``;

@@ -61,13 +61,12 @@ name                                    kind       meaning
 ``synthesis.failed``                    counter    terms no segmentation explained
 ``phase.pointer.seconds``               gauge      pointer-analysis pre-pass wall time
 ``phase.slicing.seconds``               gauge      slicing pre-pass wall time
-``phase.shape.seconds``                 gauge      shape-analysis wall time (all attempts)
+``phase.shape.seconds``                 gauge      shape-analysis wall time
 ``phase.pointer.seconds.dist``          histogram  per-run pointer-phase latency distribution
 ``phase.slicing.seconds.dist``          histogram  per-run slicing-phase latency distribution
 ``phase.shape.seconds.dist``            histogram  per-run shape-phase latency distribution
 ``entailment.match_steps.dist``         histogram  match steps *per query* (vs the summed counter)
 ``entailment.lemma.attempts.dist``      histogram  synthesis attempts *per query* (lemmas active)
-``analysis.attempts``                   gauge      engine attempts (1 unless escalation fired)
 ======================================  =========  ==========================================
 
 Histogram-kind metrics are backed by :class:`repro.obs.histo.Histogram`
@@ -77,12 +76,6 @@ histogram ``h`` appears as ``h.count`` / ``h.sum`` / ``h.min`` /
 ``h.max`` / ``h.p50`` / ``h.p90`` / ``h.p99`` plus sparse
 ``h.bucket.<i>`` keys; :func:`histogram_flat_base` recognizes those
 derived names and :func:`is_schema_name` accepts them as canonical.
-
-Back-compat: the seed's ``AnalysisResult.stats`` keys (``states``,
-``instructions``, ``invariants``, ``summaries_reused``,
-``procedures``) remain available as aliases of their canonical
-counterparts -- :data:`LEGACY_STAT_ALIASES`, applied by
-:func:`with_legacy_aliases` in ``AnalysisResult.to_record``.
 """
 
 from __future__ import annotations
@@ -90,7 +83,6 @@ from __future__ import annotations
 from repro.obs.histo import QUANTILES, Histogram
 
 __all__ = [
-    "LEGACY_STAT_ALIASES",
     "METRIC_SCHEMA",
     "Metrics",
     "NULL_METRICS",
@@ -98,7 +90,6 @@ __all__ = [
     "histogram_flat_base",
     "is_schema_name",
     "merge_stat_dicts",
-    "with_legacy_aliases",
 ]
 
 #: name -> kind ("counter" | "gauge" | "histogram") for every canonical
@@ -159,7 +150,6 @@ METRIC_SCHEMA: dict[str, str] = {
     "phase.shape.seconds.dist": "histogram",
     "entailment.match_steps.dist": "histogram",
     "entailment.lemma.attempts.dist": "histogram",
-    "analysis.attempts": "gauge",
     # serve.* -- recorded by the analysis *service* (repro.serve), not
     # by the engine: job-queue accounting, worker supervision and the
     # overload-degradation ladder.  They share the registry so batch
@@ -217,26 +207,6 @@ METRIC_SCHEMA: dict[str, str] = {
     "incr.table.decode.seconds": "histogram",
 }
 
-#: Legacy ``AnalysisResult.stats`` key -> canonical metric name.
-LEGACY_STAT_ALIASES: dict[str, str] = {
-    "states": "engine.states",
-    "instructions": "engine.instructions",
-    "invariants": "engine.invariants.synthesized",
-    "summaries_reused": "engine.summaries.reused",
-    "procedures": "engine.procedures.analyzed",
-}
-
-
-def with_legacy_aliases(stats: dict) -> dict:
-    """Return *stats* plus the legacy keys mirroring their canonical
-    counterparts (idempotent; missing canonical keys alias to 0 so old
-    consumers keep indexing without KeyError)."""
-    out = dict(stats)
-    for legacy, canonical in LEGACY_STAT_ALIASES.items():
-        out[legacy] = out.get(canonical, out.get(legacy, 0))
-    return out
-
-
 #: Scalar suffixes a flattened histogram exports (besides buckets).
 _HISTO_SUFFIXES = ("count", "sum", "min", "max") + tuple(
     suffix for _, suffix in QUANTILES
@@ -266,9 +236,8 @@ def is_schema_name(name: str) -> bool:
 def merge_stat_dicts(into: dict, stats: dict) -> dict:
     """Accumulate one run's canonical stats into *into* (in place).
 
-    Only canonical (dotted) names participate -- legacy aliases would
-    double-count; counters sum, ``.seconds`` gauges sum into totals,
-    other gauges keep the max.  Flattened histogram components merge
+    Only numeric values participate; counters sum, ``.seconds`` gauges
+    sum into totals, other gauges keep the max.  Flattened histogram components merge
     like the underlying histograms: counts, sums and bucket counts
     sum, ``.min``/``.max`` take the extremum, and the percentile keys
     are *recomputed* from the merged buckets (a sum -- or max -- of
@@ -276,7 +245,7 @@ def merge_stat_dicts(into: dict, stats: dict) -> dict:
     aggregate metrics per outcome across isolated child processes."""
     touched_histograms = set()
     for name, value in stats.items():
-        if "." not in name or not isinstance(value, (int, float)):
+        if not isinstance(value, (int, float)):
             continue
         base = histogram_flat_base(name)
         if base is not None:

@@ -87,7 +87,7 @@ def load_trace(path: "str | Path") -> list[dict]:
 def summarize_trace(records: list[dict]) -> SummaryNode:
     """Fold the span forest into an aggregate tree rooted at a
     synthetic ``<trace>`` node (traces may have several roots: one per
-    analysis attempt, or per benchmark when files are concatenated)."""
+    benchmark when files are concatenated)."""
     by_id = {record["id"]: record for record in records}
     root = SummaryNode("<trace>")
     aggregate_of: dict[int, SummaryNode] = {}

@@ -1,9 +1,11 @@
-"""``python -m repro.perf.revisits``: the WTO revisit-count assertion.
+"""The WTO revisit-count fixture and its measurement.
 
-A regression gate for the scheduling overhaul: on a nested-loop
-fixture, driving the fixpoint worklist in weak topological order must
-strictly reduce ``engine.worklist.revisits`` relative to the naive
-FIFO order, with the analysis reaching the identical outcome.
+On a nested-loop fixture, driving the fixpoint worklist in weak
+topological order must strictly reduce ``engine.worklist.revisits``
+relative to the naive FIFO order, with the analysis reaching the
+identical outcome;
+``tests/test_wto_schedule.py::test_wto_strictly_reduces_revisits_on_the_nested_loop_fixture``
+asserts exactly that on :func:`measure`.
 
 The fixture is chosen with care.  On programs whose loops converge in
 one synthesis round the trajectory is *schedule-independent*: every
@@ -19,7 +21,7 @@ find the invariant already synthesized and converge without a push;
 under FIFO they arrive interleaved with downstream work, before
 synthesis, and are pushed as extra unroll rounds.  The counts are
 fully deterministic (both schedules break ties positionally) and
-independent of the build size, so the gate pins exact behaviour, not a
+independent of the build size, so the test pins exact behaviour, not a
 flaky threshold.
 
 The fixture's outer loop deliberately exceeds the invariant-candidate
@@ -30,9 +32,7 @@ what the differential holds fixed across schedules.
 
 from __future__ import annotations
 
-import sys
-
-__all__ = ["FIXTURE", "measure", "main"]
+__all__ = ["FIXTURE", "measure"]
 
 #: Nested loops with inner-loop case splits: the smallest program we
 #: know of whose worklist trajectory depends on the schedule.
@@ -80,7 +80,7 @@ def measure(deadline: float | None = 30.0) -> dict:
     program = parse_program(FIXTURE)
     out: dict = {}
     for schedule in ("wto", "fifo"):
-        # Lemma synthesis is disabled: the gate pins the exact worklist
+        # Lemma synthesis is disabled: the test pins the exact worklist
         # trajectory of the structural matcher, and lemma-assisted
         # invariant supersession legitimately changes how many unroll
         # rounds each schedule needs on this fixture.
@@ -99,34 +99,3 @@ def measure(deadline: float | None = 30.0) -> dict:
             "pushes": result.stats.get("engine.worklist.pushes", 0),
         }
     return out
-
-
-def main(argv: "list[str] | None" = None) -> int:
-    counts = measure()
-    wto, fifo = counts["wto"], counts["fifo"]
-    print(
-        f"wto  outcome {wto['outcome']:9s} revisits {wto['revisits']:5d}"
-        f" pushes {wto['pushes']:5d}"
-    )
-    print(
-        f"fifo outcome {fifo['outcome']:9s} revisits {fifo['revisits']:5d}"
-        f" pushes {fifo['pushes']:5d}"
-    )
-    if wto["outcome"] != fifo["outcome"]:
-        print(
-            "repro.perf.revisits: outcomes differ between schedules",
-            file=sys.stderr,
-        )
-        return 1
-    if wto["revisits"] >= fifo["revisits"]:
-        print(
-            "repro.perf.revisits: WTO did not strictly reduce worklist "
-            f"revisits ({wto['revisits']} vs {fifo['revisits']})",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -3,9 +3,11 @@
 ``python -m repro serve`` turns the one-shot analyzer into a
 long-lived daemon: a bounded job queue fronting a pool of *persistent*
 worker processes that keep the entailment cache and the unfold/fold
-memos warm across jobs, so the ~5x warm-path speedup of repeated
-runs becomes the steady-state number for every request instead of a
-benchmark artifact.
+memos warm across jobs.  Warmth does not buy throughput at this
+scale: ``serve-bench --clients 2 --jobs 20 --workers 2`` on a 2-core
+VM, five alternating pairs, medians, gave 77.8 jobs/s with warm memos
+against 81.4 with per-job memos on Table-4 traffic, and 21.7 against
+21.8 on ``--diff`` traffic (pair-to-pair spread about 15%).
 
 The service layer is deliberately paranoid, because the crucible
 already proved the analysis can crash, hang and exhaust budgets:

@@ -12,8 +12,9 @@ what a service owner actually wants to know:
   bounded queue);
 * **cache warmth** -- mean ``entailment.cache`` hit rate of each
   worker generation's *first* job (cold) vs all later jobs (warm).
-  The gap is the PR-4 warm-path speedup showing up as a steady-state
-  service number rather than a benchmark artifact.
+  A higher warm hit rate is not a throughput gain: measured against
+  per-job memos (see :mod:`repro.serve`), warm memos moved jobs/s by
+  less than the run-to-run spread.
 
 The generator is also importable (:func:`run_load`) so the smoke
 harness and tests reuse the same traffic engine.

@@ -52,7 +52,8 @@ __all__ = ["main", "run_smoke"]
 
 SMOKE_BENCHMARKS = ("list-build", "list-traverse", "list-reverse")
 #: The crucible fault one job carries: an injected engine *exception*
-#: mid-entailment, which resilience must contain to a diagnostic.
+#: mid-entailment, which resilience must turn into a fatal
+#: ``internal-error`` diagnostic, never a worker death.
 FAULT_JOB = {"phase": "entailment", "kind": "error", "at": 1}
 
 

@@ -27,11 +27,10 @@ Design rules, enforced here:
   bound, mode, and whether lemma synthesis is on -- see
   ``ShapeEngine.config``), the entry state's canonical key, and the
   canonicalized cutpoint set.  The token matters for verdict parity:
-  a retry-escalation run records summaries at a higher unroll, and a
-  later cold attempt at the base unroll must *not* hit them; a
-  lemma-assisted summary must not answer a lemma-free run.  Either
-  must fail exactly like a store-off run would, so the
-  attempt/diagnostic trajectory matches.
+  a summary recorded at another unroll bound or mode must *not*
+  answer this run, and a lemma-assisted summary must not answer a
+  lemma-free run.  Either must fail exactly like a store-off run
+  would, so the diagnostic trajectory matches.
 """
 
 from __future__ import annotations

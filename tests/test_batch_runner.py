@@ -132,6 +132,64 @@ class TestRunnerCLI:
         assert "outcomes:" in out
 
 
+class TestReproBatchFlags:
+    """``python -m repro --batch`` forwards every flag the runner can
+    honor and refuses, with a usage error, the ones it cannot."""
+
+    @pytest.fixture
+    def batch_calls(self, monkeypatch):
+        import repro.benchsuite.runner as runner
+
+        calls = []
+
+        def fake_run_batch(**kwargs):
+            calls.append(kwargs)
+            return BatchReport([RunRecord(name="x", outcome="pass")])
+
+        monkeypatch.setattr(runner, "run_batch", fake_run_batch)
+        return calls
+
+    def test_no_cache_is_forwarded(self, batch_calls, capsys):
+        assert cli_main(["--batch", "--no-cache"]) == 0
+        assert cli_main(["--batch"]) == 0
+        assert [c["cache"] for c in batch_calls] == [False, True]
+
+    def test_mode_is_forwarded(self, batch_calls, capsys):
+        cli_main(["--batch"])
+        cli_main(["--batch", "--mode", "degrade"])
+        assert [c["mode"] for c in batch_calls] == ["strict", "degrade"]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--no-slicing"],
+            ["--no-wto"],
+            ["--no-incremental"],
+            ["--store", "some-dir"],
+        ],
+    )
+    def test_unsupported_engine_flag_is_usage_error(
+        self, batch_calls, capsys, flags
+    ):
+        assert cli_main(["--batch", *flags]) == 2
+        assert flags[0] in capsys.readouterr().err
+        assert batch_calls == []
+
+    def test_no_cache_reaches_isolated_children(self, capsys):
+        # End to end through the zygote: with the memos off the child
+        # never consults the entailment cache at all.
+        def cache_lookups(**kwargs):
+            report = run_batch(names=["list-build"], **kwargs)
+            stats = report.records[0].result["stats"]
+            assert stats["entailment.queries"] > 0
+            return sum(
+                stats.get(f"entailment.cache.{k}", 0) for k in ("hits", "misses")
+            )
+
+        assert cache_lookups() > 0
+        assert cache_lookups(cache=False) == 0
+
+
 class TestRenderBatchReport:
     def test_renders_notes_from_diagnostics(self):
         report = BatchReport(

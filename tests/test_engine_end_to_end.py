@@ -188,7 +188,7 @@ proc main():
     return %a
 """
         )
-        assert result.stats["summaries_reused"] >= 1
+        assert result.stats["engine.summaries.reused"] >= 1
 
     def test_callee_effects_propagate(self):
         result = analyze(

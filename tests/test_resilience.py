@@ -1,5 +1,5 @@
 """Tests for the resilience layer: diagnostics, budgets, degrade-mode
-containment, retry escalation, and the CLI failure exit codes."""
+containment, the single-run contract, and the CLI failure exit codes."""
 
 import time
 
@@ -100,8 +100,8 @@ class TestBudget:
         assert "deadline" in diagnostic.message
 
     def test_deadline_not_retried_in_degrade_mode(self):
-        # Budget exhaustion must not trigger escalation reruns: the
-        # run ends on the first exhausted attempt.
+        # Budget exhaustion is never contained: the one engine run ends
+        # on it.
         result = ShapeAnalysis(
             mcf.full_program(),
             name="mcf",
@@ -120,12 +120,6 @@ class TestBudget:
         assert not result.succeeded
         assert "budget" in result.failure
         assert result.diagnostics[0].code == BUDGET_EXHAUSTED
-
-    def test_global_state_cap(self):
-        result = ShapeAnalysis(parse_program(LIST_SRC), max_states=5).run()
-        assert not result.succeeded
-        assert result.diagnostics[0].code == BUDGET_EXHAUSTED
-        assert "global state budget" in result.failure
 
     def test_depth_guard_catches_runaway_activations(self):
         budget = Budget(max_depth=3)
@@ -259,21 +253,26 @@ class _CrashingEngine(_FlakyEngine):
 
 
 class TestRetryEscalation:
-    def test_retry_succeeds_after_unroll_2_fails(self):
+    """There is no retry ladder: either mode builds exactly one engine,
+    at the configured unroll bound, in the requested mode."""
+
+    def test_unroll_2_failure_is_not_retried(self):
+        # A loop that only unroll=3 could synthesize is reported, not
+        # rescued by an escalated rerun: degrade mode's containment is
+        # the engine's, and this failure escapes the engine whole.
         _FlakyEngine.calls = []
         result = ShapeAnalysis(
             parse_program(LIST_SRC),
             mode="degrade",
             engine_factory=_FlakyEngine,
         ).run()
-        assert result.succeeded
-        assert result.outcome == "degraded"  # recovered via escalation
-        assert result.attempts == 2
-        assert _FlakyEngine.calls == [(2, "strict"), (3, "strict")]
-        (retry_diag,) = [d for d in result.diagnostics if d.recovered]
-        assert retry_diag.code == INVARIANT_FAILURE
-        assert retry_diag.location() == "main@1"
-        assert "unroll=3" in retry_diag.detail
+        assert result.outcome == "failed"
+        assert result.attempts == 1
+        assert _FlakyEngine.calls == [(2, "degrade")]
+        (fatal,) = result.diagnostics
+        assert fatal.code == INVARIANT_FAILURE
+        assert not fatal.recovered
+        assert fatal.location() == "main@1"
 
     def test_strict_mode_never_retries(self):
         _FlakyEngine.calls = []
@@ -287,14 +286,19 @@ class TestRetryEscalation:
         assert _FlakyEngine.calls == [(2, "strict")]
 
     def test_escalation_disabled(self):
+        # No knob re-enables escalation or a global state cap.
+        for knob in ("escalate_unroll", "max_states"):
+            with pytest.raises(TypeError):
+                ShapeAnalysis(parse_program(LIST_SRC), **{knob: 3})
         _FlakyEngine.calls = []
-        ShapeAnalysis(
+        result = ShapeAnalysis(
             parse_program(LIST_SRC),
             mode="degrade",
-            escalate_unroll=None,
+            max_unroll=3,
             engine_factory=_FlakyEngine,
         ).run()
-        assert _FlakyEngine.calls == [(2, "strict"), (2, "degrade")]
+        assert result.outcome == "pass"
+        assert _FlakyEngine.calls == [(3, "degrade")]
 
 
 class TestInternalErrorWrapping:

@@ -54,9 +54,9 @@ class TestResults:
 
     def test_stats_populated(self):
         result = ShapeAnalysis(parse_program(LIST_SRC)).run()
-        assert result.stats["states"] > 0
-        assert result.stats["invariants"] >= 1
-        assert result.stats["procedures"] >= 1
+        assert result.stats["engine.states"] > 0
+        assert result.stats["engine.invariants.synthesized"] >= 1
+        assert result.stats["engine.procedures.analyzed"] >= 1
 
     def test_predicates_vs_recursive_predicates(self):
         result = ShapeAnalysis(parse_program(LIST_SRC)).run()

@@ -174,7 +174,7 @@ class TestSnapshot:
     def _registry(self) -> obs.Metrics:
         metrics = obs.Metrics()
         metrics.inc("engine.states", 12)
-        metrics.gauge("analysis.attempts", 2)
+        metrics.gauge("incr.cone.size", 2)
         metrics.observe("serve.job.seconds", 0.25)
         metrics.observe("serve.job.seconds", 0.75)
         return metrics
@@ -197,7 +197,7 @@ class TestSnapshot:
     def test_prometheus_exposition(self):
         text = obs.render_prometheus(self._registry())
         assert "repro_engine_states_total 12" in text
-        assert "repro_analysis_attempts 2" in text
+        assert "repro_incr_cone_size 2" in text
         assert 'repro_serve_job_seconds_bucket{le="+Inf"} 2' in text
         assert "repro_serve_job_seconds_count 2" in text
         assert "repro_serve_job_seconds_sum 1.0" in text
