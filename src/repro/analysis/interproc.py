@@ -1069,14 +1069,12 @@ class ShapeEngine:
                     with self.tracer.span(
                         "contract.synthesize", procedure=p, group=len(groups)
                     ):
-                        group_entry = normalize_state(
-                            seen_entry.copy(), self.env, live=params,
-                            hint="R", protect=act_cuts,
+                        group_entry = self._normalize(
+                            seen_entry.copy(), params, "R", act_cuts
                         )
                 else:
-                    group_entry = normalize_state(
-                        seen_entry.copy(), self.env, live=params, hint="R",
-                        protect=act_cuts,
+                    group_entry = self._normalize(
+                        seen_entry.copy(), params, "R", act_cuts
                     )
                 if len(groups) >= 4:
                     raise AnalysisFailure(
@@ -1101,9 +1099,8 @@ class ShapeEngine:
                     continue
                 inverse.binding.setdefault(value, inv_name)
             for exit_state in seen_exits:
-                normalized = normalize_state(
-                    exit_state.copy(), self.env, live=keep_live, hint="R",
-                    protect=act_cuts,
+                normalized = self._normalize(
+                    exit_state.copy(), keep_live, "R", act_cuts
                 )
                 candidate = transplant_state(normalized, inverse)
                 if not any_subsumes(group_exits, candidate, env=self.env):
@@ -1315,11 +1312,23 @@ class ShapeEngine:
         if value is not None:
             rho[RET_REGISTER] = state.resolve(value)
         state.rho = rho
-        normalize_state(
-            state, self.env, live=set(rho), hint="P", protect=cutpoints
-        )
+        self._normalize(state, set(rho), "P", cutpoints)
         self._drop_covered_nullness(state)
         return state
+
+    def _normalize(
+        self,
+        state: AbstractState,
+        live: set[Register],
+        hint: str,
+        protect: frozenset[HeapName],
+    ) -> AbstractState:
+        """``normalize_state`` under this run's deadline: the
+        segmentation search inside synthesis polls it per candidate."""
+        return normalize_state(
+            state, self.env, live=live, hint=hint, protect=protect,
+            deadline_poll=self.budget.check_deadline,
+        )
 
     @staticmethod
     def _drop_covered_nullness(state: AbstractState) -> None:
@@ -1576,15 +1585,12 @@ class ShapeEngine:
                 unroll=self.max_unroll,
                 prior_candidates=len(invariants),
             ) as span:
-                invariant = normalize_state(
-                    state.copy(), self.env, live=live, hint="P",
-                    protect=cutpoints,
+                invariant = self._normalize(
+                    state.copy(), live, "P", cutpoints
                 )
                 span["spatial_atoms"] = sum(1 for _ in invariant.spatial)
         else:
-            invariant = normalize_state(
-                state.copy(), self.env, live=live, hint="P", protect=cutpoints
-            )
+            invariant = self._normalize(state.copy(), live, "P", cutpoints)
         # A new, more general invariant supersedes older candidates.
         kept = [
             old

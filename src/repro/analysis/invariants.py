@@ -18,6 +18,8 @@ synthesized instance and keeps its explicit cells (exactly the
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from repro.ir.values import Register
 from repro.logic.assertions import PointsTo, PredInstance, Raw
 from repro.logic.heapnames import HeapName
@@ -54,12 +56,13 @@ def normalize_state(
     live: set[Register] | None = None,
     hint: str = "P",
     protect: frozenset[HeapName] = frozenset(),
+    deadline_poll: Callable[[], None] | None = None,
 ) -> AbstractState:
     """Synthesize + fold *state* in place (the normalize rule).
 
     ``live`` restricts the register file (dead registers are dropped so
     their targets can fold); ``protect`` lists cutpoints that must stay
-    explicit.
+    explicit; ``deadline_poll`` is polled inside the segmentation search.
     """
     normalize_nulls(state)
     if live is not None:
@@ -70,7 +73,7 @@ def normalize_state(
     # sibling definition.  Only what stays unfolded feeds synthesis.
     fold_state(state, env, protect=protect, keep_registers=True)
     for term in translate_heap(state.spatial):
-        for synthesized in synthesize_forest(term, env, hint):
+        for synthesized in synthesize_forest(term, env, hint, deadline_poll):
             _install(state, term, synthesized, guarded)
     fold_state(state, env, protect=protect, keep_registers=True)
     return state

@@ -59,7 +59,9 @@ definitions that is invariant under renaming of predicates and
 parameters -- in a :class:`repro.perf.cache.LemmaCache`, and persisted
 through the durable store (``SummaryStore.consult_lemma`` /
 ``record_lemma``) where validation-on-read re-verifies them from
-scratch.
+scratch.  The key string itself is memoized per environment
+(``PredicateEnv.pair_keys``) and invalidated by ``PredicateEnv.add``,
+so the matcher's repeated consults of one pair cost a dict lookup.
 
 Like the tracer/metrics and the entailment cache, the *active* engine
 is module-level (``lemmas.ACTIVE``) because ``subsumes`` sits too deep
@@ -170,17 +172,25 @@ def pair_key(env: PredicateEnv, kind: str, concrete: str, general: str) -> str:
 
     Built from the two definitions' structural serializations -- never
     their names -- plus the lemma kind and schema, so alpha-renaming
-    either side (or both) keys identically.
+    either side (or both) keys identically.  Memoized per environment
+    in ``env.pair_keys``, which :meth:`PredicateEnv.add` clears: a
+    lemma-cache hit then costs one dict lookup instead of two cluster
+    serializations.
     """
-    return repr(
-        (
-            "lemma",
-            LEMMA_SCHEMA,
-            kind,
-            structural_serial(env, concrete),
-            structural_serial(env, general),
+    memo = env.pair_keys
+    names = (kind, concrete, general)
+    key = memo.get(names)
+    if key is None:
+        key = memo[names] = repr(
+            (
+                "lemma",
+                LEMMA_SCHEMA,
+                kind,
+                structural_serial(env, concrete),
+                structural_serial(env, general),
+            )
         )
-    )
+    return key
 
 
 # ----------------------------------------------------------------------

@@ -229,6 +229,11 @@ class PredicateEnv:
         #: (stronger, weaker) -> bool memo for ``pred_implies``;
         #: invalidated whenever a new definition is registered.
         self.implies_memo: dict[tuple[str, str], bool] = {}
+        #: (kind, concrete, general) -> lemma pair key memo for
+        #: ``lemmas.pair_key``; invalidated whenever a new definition is
+        #: registered (a key serializes whole definition clusters, and a
+        #: new definition can resolve a formerly undefined callee).
+        self.pair_keys: dict[tuple[str, str, str], str] = {}
 
     def __contains__(self, name: str) -> bool:
         return name in self._defs
@@ -259,6 +264,7 @@ class PredicateEnv:
         signature = tuple(sorted(spec.field for spec in definition.fields))
         self._by_fields.setdefault(signature, []).append(definition)
         self.implies_memo.clear()
+        self.pair_keys.clear()
         self._token = None
         return definition
 

@@ -32,7 +32,7 @@ least one *non-terminal* unfolding point.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 from repro.synthesis.terms import (
@@ -96,13 +96,18 @@ def _contains_stop(node: Term) -> bool:
     return any(_contains_stop(c) for c in children(node))
 
 
-def find_segmentations(term: Term) -> Iterator[Segmentation]:
+def find_segmentations(
+    term: Term, deadline_poll: Callable[[], None] | None = None
+) -> Iterator[Segmentation]:
     """Yield valid segmentations of *term*, best-first.
 
     The order follows the paper: candidates are considered in preorder,
     accepting a candidate is preferred over skipping it, so the first
     yielded segmentation has its recursion points as high and as far
-    left as possible (the minimal recurrence)."""
+    left as possible (the minimal recurrence).  The search is
+    exponential in the candidate count, so *deadline_poll* (which raises
+    once the run's deadline has passed) is called before every
+    candidate validation."""
     if not isinstance(term, StarTerm) or term.is_unexpanded:
         return
     candidates = [p for p in positions(term) if p and _is_potential(term, p)]
@@ -110,6 +115,8 @@ def find_segmentations(term: Term) -> Iterator[Segmentation]:
     def search(index: int, chosen: list[Position]) -> Iterator[Segmentation]:
         if index == len(candidates):
             if chosen:
+                if deadline_poll is not None:
+                    deadline_poll()
                 result = _validate(term, tuple(chosen))
                 if result is not None:
                     yield result

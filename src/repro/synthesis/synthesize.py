@@ -26,6 +26,7 @@ over the loop body and halts on failure.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro import obs
@@ -83,30 +84,37 @@ class SynthesizedInstance:
 
 
 def synthesize_term(
-    term: Term, env: PredicateEnv, hint: str = "P"
+    term: Term,
+    env: PredicateEnv,
+    hint: str = "P",
+    deadline_poll: Callable[[], None] | None = None,
 ) -> SynthesizedInstance | None:
     """Synthesize a recursive predicate explaining *term*, or None.
 
-    Each attempt reports to the active observability instruments: how
-    many candidate segmentations were tried before one anti-unified
+    *deadline_poll* is handed to the segmentation search, which calls it
+    before every candidate validation.  Each attempt reports to the
+    active observability instruments -- also one the poll cut short --
+    how many candidate segmentations were tried before one anti-unified
     into a predicate (or all were exhausted), and the outcome."""
     tried = 0
     instance: SynthesizedInstance | None = None
-    for segmentation in find_segmentations(term):
-        tried += 1
-        try:
-            instance = _build(term, segmentation, env, hint)
-            break
-        except SynthesisFailure:
-            continue
-    metrics = obs.METRICS
-    if metrics.enabled:
-        metrics.inc("synthesis.terms")
-        metrics.inc("synthesis.segmentations_tried", tried)
-        metrics.inc(
-            "synthesis.succeeded" if instance is not None
-            else "synthesis.failed"
-        )
+    try:
+        for segmentation in find_segmentations(term, deadline_poll):
+            tried += 1
+            try:
+                instance = _build(term, segmentation, env, hint)
+                break
+            except SynthesisFailure:
+                continue
+    finally:
+        metrics = obs.METRICS
+        if metrics.enabled:
+            metrics.inc("synthesis.terms")
+            metrics.inc("synthesis.segmentations_tried", tried)
+            metrics.inc(
+                "synthesis.succeeded" if instance is not None
+                else "synthesis.failed"
+            )
     tracer = obs.TRACER
     if tracer.enabled:
         tracer.event(
@@ -119,7 +127,10 @@ def synthesize_term(
 
 
 def synthesize_forest(
-    term: Term, env: PredicateEnv, hint: str = "P"
+    term: Term,
+    env: PredicateEnv,
+    hint: str = "P",
+    deadline_poll: Callable[[], None] | None = None,
 ) -> list[SynthesizedInstance]:
     """Synthesize the maximal synthesizable sub-structures of *term*.
 
@@ -127,14 +138,16 @@ def synthesize_forest(
     (the structure hangs below non-recursive prefix data), descends into
     the expanded children.
     """
-    instance = synthesize_term(term, env, hint)
+    instance = synthesize_term(term, env, hint, deadline_poll)
     if instance is not None:
         return [instance]
     results: list[SynthesizedInstance] = []
     if isinstance(term, StarTerm):
         for target in term.targets:
             if isinstance(target, StarTerm) and not target.is_unexpanded:
-                results.extend(synthesize_forest(target, env, hint))
+                results.extend(
+                    synthesize_forest(target, env, hint, deadline_poll)
+                )
     return results
 
 

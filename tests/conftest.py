@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.logic import lemmas
 from repro.logic.heapnames import FieldPath, HeapName, Var, reset_fresh_counter
 
 
@@ -21,3 +22,17 @@ def fp(base: HeapName | str, *fields: str) -> HeapName:
     for field in fields:
         name = FieldPath(name, field)
     return name
+
+
+def unmemoized_pair_key(env, kind: str, concrete: str, general: str) -> str:
+    """The lemma pair key built from scratch, bypassing the environment
+    memo: the reference ``lemmas.pair_key`` must agree with."""
+    return repr(
+        (
+            "lemma",
+            lemmas.LEMMA_SCHEMA,
+            kind,
+            lemmas.structural_serial(env, concrete),
+            lemmas.structural_serial(env, general),
+        )
+    )

@@ -6,7 +6,10 @@ Four properties, each load-bearing for soundness or determinism:
    structural serializations, never predicate names, so renaming a
    definition (or holding it in a different environment) keys the same
    lemma.  This is what lets the durable store share lemmas across
-   runs that synthesized their predicates in different orders.
+   runs that synthesized their predicates in different orders.  The
+   key is memoized per environment, so the memo must be invalidated
+   when ``add()`` grows the environment and never answer for another
+   environment.
 2. **Witness replay** -- an entailment-cache hit on a lemma-assisted
    query replays the stored witness exactly: same binding, same
    ``lemmas_used``.  A replayed verdict must be indistinguishable from
@@ -26,6 +29,8 @@ Four properties, each load-bearing for soundness or determinism:
 import json
 
 import pytest
+
+from conftest import unmemoized_pair_key
 
 from repro.ir import Register
 from repro.logic import (
@@ -142,6 +147,82 @@ def test_renamed_engine_verdicts_agree():
     lemma = engine.merge_lemma(renamed, "zorp", "zorp")
     assert lemma is not None
     assert lemma.key == pair_key(_env(), "merge", "list", "list")
+
+
+def _self_list(name):
+    return PredicateDef(
+        name,
+        arity=1,
+        fields=(FieldSpec("next", RecTarget(0)),),
+        rec_calls=(RecCallSpec(name),),
+    )
+
+
+def _self_tree(name):
+    return PredicateDef(
+        name,
+        arity=1,
+        fields=(FieldSpec("left", RecTarget(0)), FieldSpec("right", RecTarget(1))),
+        rec_calls=(RecCallSpec(name), RecCallSpec(name)),
+    )
+
+
+def test_pair_key_memo_is_invalidated_when_a_callee_is_defined():
+    outer = PredicateDef(
+        "outer",
+        arity=1,
+        fields=(FieldSpec("down", RecTarget(0)),),
+        rec_calls=(RecCallSpec("inner"),),
+    )
+    inner = PredicateDef("inner", arity=1, fields=(FieldSpec("next", NullArg()),))
+    env = PredicateEnv()
+    env.add(outer)
+    before = pair_key(env, "bridge", "outer", "outer")
+    assert "'undef'" in before
+    assert pair_key(env, "bridge", "outer", "outer") is before  # memoized
+
+    env.add(inner)
+    after = pair_key(env, "bridge", "outer", "outer")
+    assert after != before
+    assert "'undef'" not in after
+    assert after == unmemoized_pair_key(env, "bridge", "outer", "outer")
+
+    # The same definitions registered in the other order key the same.
+    fresh = PredicateEnv()
+    fresh.add(inner)
+    fresh.add(outer)
+    assert after == pair_key(fresh, "bridge", "outer", "outer")
+
+
+def test_memoized_pair_keys_stay_alpha_invariant():
+    env = _env()
+    renamed = PredicateEnv()
+    renamed.add(_self_list("zorp"))
+    renamed.add(
+        PredicateDef("cell", arity=1, fields=(FieldSpec("next", NullArg()),))
+    )
+    for _round in range(2):  # the second round is answered by the memos
+        for kind in ("empty", "merge", "bridge"):
+            assert pair_key(env, kind, "list", "list") == pair_key(
+                renamed, kind, "zorp", "zorp"
+            )
+            assert pair_key(env, kind, "one", "list") == pair_key(
+                renamed, kind, "cell", "zorp"
+            )
+
+
+def test_pair_key_memo_never_answers_for_another_environment():
+    # The same names denote different structures in the two environments.
+    as_list = PredicateEnv()
+    as_list.add(_self_list("p"))
+    as_tree = PredicateEnv()
+    as_tree.add(_self_tree("p"))
+    list_key = pair_key(as_list, "empty", "p", "p")
+    tree_key = pair_key(as_tree, "empty", "p", "p")
+    assert list_key != tree_key
+    assert list_key == unmemoized_pair_key(as_list, "empty", "p", "p")
+    assert tree_key == unmemoized_pair_key(as_tree, "empty", "p", "p")
+    assert pair_key(as_list, "empty", "p", "p") == list_key
 
 
 # -- 2. cache hits replay identical witnesses --------------------------

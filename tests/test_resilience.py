@@ -13,7 +13,8 @@ from repro.analysis.resilience import (
     INTERNAL_ERROR,
     INVARIANT_FAILURE,
 )
-from repro.benchsuite import mcf
+from repro.benchsuite import TABLE4_PROGRAMS, mcf
+from repro.crucible.generator import edit_program
 from repro.ir import parse_program
 from repro.__main__ import (
     EXIT_ANALYSIS_FAILED,
@@ -112,6 +113,25 @@ class TestBudget:
         assert not result.succeeded
         assert result.attempts == 1
         assert result.diagnostics[-1].code == BUDGET_EXHAUSTED
+
+    @pytest.mark.parametrize("deadline", [0.25, 1.0])
+    def test_deadline_overshoot_in_synthesis_is_bounded(self, deadline):
+        # This edit spends the time past its deadline in the exponential
+        # segmentation search of recursion synthesis (~10 s undeadlined);
+        # the search polls the deadline per candidate validation.
+        program, _notes = edit_program(TABLE4_PROGRAMS()["181.mcf"], 170)
+        start = time.perf_counter()
+        result = ShapeAnalysis(
+            program,
+            name="edit:181.mcf@170",
+            mode="degrade",
+            deadline_seconds=deadline,
+        ).run()
+        overshoot = time.perf_counter() - start - deadline
+        assert result.outcome == "failed"
+        diagnostic = result.diagnostics[-1]
+        assert (diagnostic.code, diagnostic.phase) == (BUDGET_EXHAUSTED, "shape")
+        assert overshoot <= 0.15
 
     def test_state_budget_exhaustion_reported(self):
         result = ShapeAnalysis(

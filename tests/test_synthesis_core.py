@@ -1,8 +1,11 @@
 """Tests for segmentation search, anti-unification, substitution fitting
 and full predicate synthesis (§3.1.2)."""
 
+import pytest
+
 from conftest import fp
 
+from repro import obs
 from repro.logic import (
     NULL_VAL,
     NullArg,
@@ -14,6 +17,7 @@ from repro.logic import (
     SpatialFormula,
     Var,
 )
+from repro.obs import Metrics
 from repro.synthesis import (
     HOLE,
     NULL_TERM,
@@ -186,6 +190,25 @@ class TestFitArgument:
 
 
 class TestSynthesize:
+    def test_deadline_poll_stops_the_search_and_is_still_counted(self):
+        # The traced benchmark pairs synthesize_term spans with the
+        # synthesis.terms counter, so an attempt the poll cuts short
+        # must be counted too.
+        class Expired(Exception):
+            pass
+
+        def poll():
+            raise Expired
+
+        env = PredicateEnv()
+        (term,) = translate_heap(list_trace())
+        metrics = Metrics()
+        with obs.activate(metrics=metrics), pytest.raises(Expired):
+            synthesize_term(term, env, deadline_poll=poll)
+        assert metrics.counter("synthesis.terms") == 1
+        assert metrics.counter("synthesis.failed") == 1
+        assert len(env) == 0
+
     def test_list_predicate(self):
         from repro.logic import FieldSpec
 
