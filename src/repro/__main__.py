@@ -5,11 +5,12 @@ built-in benchmark by name (``python -m repro treeadd``) and prints
 the inferred recursive predicates, the exit states, and the timing
 breakdown.  ``--run`` additionally executes the program with the
 concrete interpreter and model-checks every tree/list predicate whose
-root the program returned.  ``--batch`` instead drives the built-in
-benchmark suite through the crash-isolating batch runner.
+root the program returned.  ``python -m repro batch`` instead drives
+the built-in benchmark suite through the crash-isolating batch runner
+(:mod:`repro.benchsuite.runner`; it takes that module's flags).
 
 Observability: ``--trace FILE`` writes a hierarchical span trace of
-the run as JSONL (with ``--batch``, a *directory* of one trace per
+the run as JSONL (``repro batch --trace DIR`` writes one trace per
 benchmark), ``--metrics`` prints the canonical engine metrics, and
 ``python -m repro trace-summary FILE`` aggregates a trace into the
 top-down time/count tree.
@@ -20,11 +21,11 @@ fold memos for a single run.
 
 Soundness gate: ``python -m repro diff`` runs seeded crucible edit
 pairs and the curated programs under a fixed pairwise cover of engine
-configurations (cache, lemmas, wto, incremental), from scratch and
-against one shared, fault-injected store, and fails on any core-verdict
+configurations (cache, lemmas, incremental), from scratch and against
+one shared, fault-injected store, and fails on any core-verdict
 divergence (see :mod:`repro.diff`).  ``--no-cache``, ``--no-lemmas``,
-``--no-wto``, ``--no-store`` and ``--no-incremental`` switch one knob
-off for a single run.
+``--no-store`` and ``--no-incremental`` switch one knob off for a
+single run.
 
 Serving: ``python -m repro serve`` runs the supervised analysis daemon
 (persistent warm-cache workers behind a bounded queue; see
@@ -38,8 +39,8 @@ Exit codes (stable, for batch drivers):
   an internal error contained into a diagnostic);
 * ``2``   usage errors: missing file, bad flags;
 * ``3``   the input failed to parse, type-check, or lower to IR;
-* ``--batch`` exits ``0`` only when no benchmark failed, crashed or
-  timed out;
+* ``batch`` exits ``0`` only when no benchmark failed, crashed or
+  timed out, ``1`` otherwise;
 * ``--crucible`` exits ``0`` only when the fuzzing campaign found no
   differential-oracle violations (analysis failures on mutants are
   expected and fine; *unsound* or *unclassified* ones are not).
@@ -133,9 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace",
         metavar="PATH",
         help=(
-            "write a hierarchical span trace (JSONL) to PATH; with "
-            "--batch, PATH is a directory holding one trace per "
-            "benchmark (explore either with 'trace-summary')"
+            "write a hierarchical span trace (JSONL) to PATH (explore "
+            "it with 'trace-summary')"
         ),
     )
     parser.add_argument(
@@ -178,13 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
         "either way -- see 'python -m repro diff')",
     )
     parser.add_argument(
-        "--no-wto",
-        action="store_true",
-        help="drive the fixpoint worklist in naive FIFO order instead "
-        "of the weak topological order (verdicts are identical either "
-        "way; see 'python -m repro diff')",
-    )
-    parser.add_argument(
         "--dump-ir", action="store_true", help="print the (lowered) IR and exit"
     )
     parser.add_argument(
@@ -196,23 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--invariants",
         action="store_true",
         help="print the verified loop invariants and procedure summaries",
-    )
-    parser.add_argument(
-        "--batch",
-        action="store_true",
-        help="run the built-in benchmark suite through the batch runner",
-    )
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=120.0,
-        metavar="S",
-        help="per-benchmark isolation timeout for --batch (default 120)",
-    )
-    parser.add_argument(
-        "--no-isolate",
-        action="store_true",
-        help="with --batch: run in-process instead of per-run subprocesses",
     )
     crucible = parser.add_argument_group(
         "crucible (adversarial validation)",
@@ -368,7 +344,7 @@ def _resolve_input(args, parser) -> "tuple[object, str, object] | int":
     a fresh program for the concrete interpreter (``--run``)."""
     if args.file is None:
         parser.print_usage(sys.stderr)
-        print("repro: a file argument (or --batch) is required", file=sys.stderr)
+        print("repro: a file argument is required", file=sys.stderr)
         return EXIT_USAGE
     path = Path(args.file)
     if path.exists():
@@ -389,49 +365,6 @@ def _resolve_input(args, parser) -> "tuple[object, str, object] | int":
         file=sys.stderr,
     )
     return EXIT_USAGE
-
-
-#: Single-run engine flags the batch runner has no way to pass on.
-_BATCH_UNSUPPORTED = {
-    "--no-slicing": "no_slicing",
-    "--no-wto": "no_wto",
-    "--no-incremental": "no_incremental",
-    "--store": "store",
-}
-
-
-def _run_batch(args) -> int:
-    from repro.benchsuite.runner import run_batch
-
-    unsupported = [
-        flag for flag, dest in _BATCH_UNSUPPORTED.items() if getattr(args, dest)
-    ]
-    if unsupported:
-        print(
-            f"repro: --batch cannot honor {', '.join(unsupported)}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    report = run_batch(
-        names=None,
-        mode=args.mode,
-        timeout=args.timeout,
-        deadline=args.deadline,
-        unroll=args.unroll,
-        state_budget=args.state_budget,
-        isolate=not args.no_isolate,
-        trace_dir=args.trace,
-        cache=not args.no_cache,
-        lemmas=not args.no_lemmas,
-    )
-    print(report.render())
-    if args.json:
-        payload = json.dumps(report.to_dict(), indent=2)
-        if args.json == "-":
-            print(payload)
-        else:
-            Path(args.json).write_text(payload + "\n")
-    return EXIT_OK if report.ok else EXIT_ANALYSIS_FAILED
 
 
 def _run_crucible(args) -> int:
@@ -518,6 +451,10 @@ def main(argv: list[str] | None = None) -> int:
         from repro.serve.smoke import main as smoke_main
 
         return smoke_main(argv[1:])
+    if argv and argv[0] == "batch":
+        from repro.benchsuite.runner import main as batch_main
+
+        return batch_main(argv[1:])
     if argv and argv[0] == "diff":
         from repro.diff import main as diff_main
 
@@ -532,8 +469,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.crucible or args.replay:
         return _run_crucible(args)
-    if args.batch:
-        return _run_batch(args)
     resolved = _resolve_input(args, parser)
     if isinstance(resolved, int):
         return resolved
@@ -561,7 +496,6 @@ def main(argv: list[str] | None = None) -> int:
         trace_path=args.trace,
         enable_cache=not args.no_cache,
         enable_lemmas=not args.no_lemmas,
-        schedule="fifo" if args.no_wto else "wto",
         store=store,
         enable_incremental=not args.no_incremental,
     ).run()

@@ -66,13 +66,6 @@ class ShapeAnalysis:
     #: ``"strict"`` (paper semantics: halt and report) or ``"degrade"``
     #: (contain failures and analyze the rest).
     mode: str = "strict"
-    #: Fixpoint worklist schedule: ``"wto"`` (default) drives a
-    #: priority worklist over each procedure's weak topological order,
-    #: stabilizing inner loops before their exits; ``"fifo"`` is the
-    #: naive order (``--no-wto``), kept so differential harnesses can
-    #: cross-check the two (verdicts must agree; ``python -m repro
-    #: diff`` checks exactly this).
-    schedule: str = "wto"
     #: Wall-clock deadline for the whole run in seconds (None = off).
     deadline_seconds: float | None = None
     #: Injectable engine constructor -- lets tests and fault-injection
@@ -208,12 +201,11 @@ class ShapeAnalysis:
 
         # The engine picks up the activated obs.TRACER/obs.METRICS as
         # defaults, so custom engine factories need not accept (or
-        # forward) tracer/metrics keywords.  The schedule keyword is only
-        # forwarded when overridden, so factories with closed signatures
-        # keep working under the default.  Likewise the store keyword is
-        # only forwarded when one is attached, and the incremental knobs
-        # only off-default.
-        extra = {} if self.schedule == "wto" else {"schedule": self.schedule}
+        # forward) tracer/metrics keywords.  The store keyword is only
+        # forwarded when one is attached, and the incremental knobs only
+        # off-default, so factories with closed signatures keep working
+        # under the defaults.
+        extra = {}
         if self.store is not None:
             extra["store"] = self.store
         if not self.enable_incremental:

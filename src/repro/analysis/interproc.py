@@ -26,7 +26,6 @@ A worklist interpreter per procedure activation with:
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass, field
 
 from repro.ir.callgraph import CallGraph
@@ -219,7 +218,6 @@ class ShapeEngine:
         budget: Budget | None = None,
         tracer=None,
         metrics: Metrics | None = None,
-        schedule: str = "wto",
         store=None,
         incremental: bool = True,
         fixpoint=None,
@@ -227,8 +225,6 @@ class ShapeEngine:
         program.validate()
         if mode not in ("strict", "degrade"):
             raise ValueError(f"unknown analysis mode {mode!r}")
-        if schedule not in ("wto", "fifo"):
-            raise ValueError(f"unknown worklist schedule {schedule!r}")
         self.program = program
         self.env = env if env is not None else PredicateEnv()
         self.max_unroll = max_unroll
@@ -254,11 +250,6 @@ class ShapeEngine:
         #: deduplicated, this counter is not).
         self.contained_events = 0
         self._havoc_counter = 0
-        #: worklist schedule: "wto" drives a priority queue over the
-        #: weak topological order (inner loops stabilize before their
-        #: exits are released); "fifo" is the naive order, kept as an
-        #: escape hatch and as the differential-testing reference.
-        self.schedule = schedule
         self.callgraph = CallGraph(program)
         self.cfgs = {name: CFG(proc) for name, proc in program.procedures.items()}
         #: per-procedure weak topological orders, computed on first use
@@ -1146,33 +1137,27 @@ class ShapeEngine:
         back_arrivals: dict[int, int] = {}
         processed = 0
 
-        # Under the WTO schedule the worklist is a priority queue over
-        # (rank, arrival): rank is the block's position in the weak
-        # topological order, so all of an inner loop's work drains
-        # before any block after the loop is popped -- a back-edge
-        # re-push of the (lower-ranked) header outranks every pending
-        # loop-exit block.  Ranks are unique per block, and the
-        # sequence tiebreak pops same-rank entries oldest-first (a
-        # recency tiebreak measured 2.4x slower on entail-stress:
-        # popping the newest header state first starves the older
-        # arrivals the invariant-convergence check generalizes from,
-        # so loops stopped converging by subsumption), so heap
-        # comparisons never reach the states and the order is fully
-        # deterministic.
-        use_wto = self.schedule == "wto"
-        rank_of = self._wto(name).rank_of if use_wto else None
+        # The worklist is a priority queue over (rank, arrival): rank
+        # is the block's position in the weak topological order, so
+        # all of an inner loop's work drains before any block after
+        # the loop is popped -- a back-edge re-push of the
+        # (lower-ranked) header outranks every pending loop-exit
+        # block.  Ranks are unique per block, and the sequence
+        # tiebreak pops same-rank entries oldest-first (a recency
+        # tiebreak measured 2.4x slower on entail-stress: popping the
+        # newest header state first starves the older arrivals the
+        # invariant-convergence check generalizes from, so loops
+        # stopped converging by subsumption), so heap comparisons
+        # never reach the states and the order is fully deterministic.
+        rank_of = self._wto(name).rank_of
         heap: list[tuple[int, int, int, AbstractState]] = []
-        worklist: deque[tuple[int, AbstractState]] = deque()
         seq = 0
 
         def push(index: int, state: AbstractState) -> None:
             nonlocal seq
             self.metrics.inc("engine.worklist.pushes")
-            if use_wto:
-                seq += 1
-                heapq.heappush(heap, (rank_of(index), seq, index, state))
-            else:
-                worklist.append((index, state))
+            seq += 1
+            heapq.heappush(heap, (rank_of(index), seq, index, state))
 
         def follow_edge(src: int, dst: int, state: AbstractState) -> None:
             if cfg.is_back_edge(src, dst):
@@ -1200,7 +1185,7 @@ class ShapeEngine:
         )
         push(0, entry)
         seen_blocks: set[int] = set()
-        while heap if use_wto else worklist:
+        while heap:
             processed += 1
             self.metrics.inc("engine.states")
             self.budget.charge_state()
@@ -1210,10 +1195,7 @@ class ShapeEngine:
                     resource="states",
                     procedure=name,
                 )
-            if use_wto:
-                _, _, index, state = heapq.heappop(heap)
-            else:
-                index, state = worklist.popleft()
+            _, _, index, state = heapq.heappop(heap)
             if index in seen_blocks:
                 self.metrics.inc("engine.worklist.revisits")
             else:
@@ -1560,9 +1542,9 @@ class ShapeEngine:
         # is wider than the purely structural matcher, and a general
         # invariant synthesized from this very arrival may supersede
         # enough older candidates to bring the header back under the
-        # cap -- whether it does must not depend on which schedule
-        # delivered the arrivals, so at the cap we synthesize one more
-        # candidate and fail only if supersession cannot make room.
+        # cap -- whether it does must not depend on the order the
+        # arrivals were delivered in, so at the cap we synthesize one
+        # more candidate and fail only if supersession cannot make room.
         # With lemmas disabled the pre-synthesis failure is preserved
         # bit-for-bit.
         at_cap = len(invariants) >= self.max_invariants_per_header

@@ -13,12 +13,7 @@ Usage::
     python -m repro.benchsuite.runner                 # all benchmarks
     python -m repro.benchsuite.runner treeadd power   # a subset
     python -m repro.benchsuite.runner --json out.json --mode strict
-    python -m repro --batch                           # same, via the CLI
-
-In-process mode (``--no-isolate``) skips the process boundary: runs
-are faster and still exception-contained (``ShapeAnalysis.run`` never
-raises), but a hard hang or interpreter crash would stop the batch;
-use it only where child processes are unavailable.
+    python -m repro batch                             # same, via the CLI
 """
 
 from __future__ import annotations
@@ -170,7 +165,6 @@ class BatchReport:
 
     records: list[RunRecord]
     mode: str = "degrade"
-    isolated: bool = True
 
     @property
     def counts(self) -> dict[str, int]:
@@ -240,7 +234,6 @@ class BatchReport:
     def to_dict(self) -> dict:
         return {
             "mode": self.mode,
-            "isolated": self.isolated,
             "counts": self.counts,
             "signals": self.signals,
             "budget": self.budget_totals(),
@@ -528,7 +521,6 @@ def run_batch(
     deadline: float | None = None,
     unroll: int = 2,
     state_budget: int = 20000,
-    isolate: bool = True,
     trace_dir: "str | Path | None" = None,
     jobs: int = 1,
     cache: bool = True,
@@ -546,29 +538,15 @@ def run_batch(
     ``jobs > 1`` lets the zygote keep up to that many children alive
     at once, each still its own OS process.  Records land in input
     order regardless of completion order, so the batch JSON is
-    byte-identical to a serial run modulo the timing fields.
-    Parallelism requires the process boundary: ``jobs > 1`` with
-    ``isolate=False`` is rejected."""
+    byte-identical to a serial run modulo the timing fields."""
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if jobs > 1 and not isolate:
-        raise ValueError(
-            "parallel batch mode needs crash isolation; "
-            "drop --no-isolate or use --jobs 1"
-        )
     if names is None or not names:
         names = sorted(benchmark_factories())
     if trace_dir is not None:
         Path(trace_dir).mkdir(parents=True, exist_ok=True)
     traces = [trace_file_for(trace_dir, name) if trace_dir is not None
               else None for name in names]
-    if not isolate:
-        records = [
-            run_one(name, mode, deadline, unroll, state_budget,
-                    trace_path=trace_path, cache=cache, lemmas=lemmas)
-            for name, trace_path in zip(names, traces)
-        ]
-        return BatchReport(records, mode=mode, isolated=False)
     flags = ["--mode", mode, "--unroll", str(unroll),
              "--state-budget", str(state_budget)]
     flags += ["--deadline", str(deadline)] * (deadline is not None)
@@ -627,19 +605,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="worklist state budget per procedure (default 20000)",
     )
     parser.add_argument(
-        "--no-isolate",
-        action="store_true",
-        help="run in-process instead of one child process per benchmark",
-    )
-    parser.add_argument(
         "--jobs",
         type=int,
         default=1,
         metavar="N",
         help=(
             "run up to N isolated child processes concurrently "
-            "(default 1; requires isolation, output order stays "
-            "deterministic)"
+            "(default 1; output order stays deterministic)"
         ),
     )
     parser.add_argument(
@@ -703,13 +675,6 @@ def main(argv: "list[str] | None" = None) -> int:
         )
         print(json.dumps(record.to_dict()))
         return 0
-    if args.jobs > 1 and args.no_isolate:
-        print(
-            "repro.benchsuite.runner: --jobs needs the subprocess "
-            "boundary; drop --no-isolate",
-            file=sys.stderr,
-        )
-        return 2
     names = list(args.names)
     if args.crucible_seeds:
         if not names:
@@ -722,7 +687,6 @@ def main(argv: "list[str] | None" = None) -> int:
         deadline=args.deadline,
         unroll=args.unroll,
         state_budget=args.state_budget,
-        isolate=not args.no_isolate,
         trace_dir=args.trace,
         jobs=args.jobs,
         cache=not args.no_cache,

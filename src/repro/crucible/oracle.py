@@ -139,15 +139,10 @@ class Oracle:
         documented_phases: frozenset[str] = frozenset(DIAGNOSTIC_PHASES),
         analyze: "Callable[[Program, str], AnalysisResult] | None" = None,
         execute: "Callable[[Program], ConcreteOutcome] | None" = None,
-        schedule: str = "wto",
     ):
         self.fuel = fuel
         self.deadline_seconds = deadline_seconds
         self.state_budget = state_budget
-        #: worklist schedule forwarded to the analysis; "fifo" lets the
-        #: differential harness cross-check scheduling (the verdict must
-        #: not depend on fixpoint order).
-        self.schedule = schedule
         self.documented_codes = documented_codes
         self.documented_phases = documented_phases
         #: With an injected ``analyze`` the oracle cannot re-run the
@@ -167,7 +162,6 @@ class Oracle:
             mode="strict",
             deadline_seconds=self.deadline_seconds,
             state_budget=self.state_budget,
-            schedule=self.schedule,
             enable_lemmas=enable_lemmas,
         ).run()
 

@@ -1,8 +1,7 @@
 """``python -m repro diff`` -- the one differential gate.
 
 Every accelerator the engine carries -- the entailment/unfold/fold
-memos, lemma synthesis, the WTO worklist schedule, the durable store
-and fixpoint replay -- promises to change *how fast* a verdict comes,
+memos, lemma synthesis, the durable store and fixpoint replay -- promises to change *how fast* a verdict comes,
 never *which* verdict.  This gate checks that promise for every knob
 and every pair of knobs, with one protocol and one comparator,
 :func:`core_verdict` (outcome, failure, attempts and the diagnostic
@@ -10,7 +9,7 @@ codes other than ``store-invalid``, which describe the store, not the
 program).
 
 **Config table.**  :data:`ROWS` is a constant, not a flag.  Each row
-is four bits -- cache, lemmas, wto, incremental -- and the six rows
+is three bits -- cache, lemmas, incremental -- and the five rows
 form a pairwise cover: every pair of knobs is seen in all four on/off
 combinations, including the all-on and all-off corners.
 
@@ -19,9 +18,9 @@ combinations, including the all-on and all-off corners.
 (:data:`CURATED`: the list staples, ``entail-stress`` and the three
 ``lemma-*`` programs) in strict and in degrade mode.
 
-**Scratch leg.**  Every program runs under all six rows without a
+**Scratch leg.**  Every program runs under all five rows without a
 store.  Rows with the same lemma bit must agree on the core verdict
-(cache, schedule and incremental are pure accelerators), and a
+(cache and incremental are pure accelerators), and a
 lemmas-off pass implies a lemmas-on pass (lemmas may only *add*
 passes, oracle claim D).  A program whose first scratch run needs more
 than half the deadline is skipped and reported: near the deadline
@@ -31,17 +30,20 @@ cliff, wall-clock verdicts are not deterministic enough to compare.
 Each item populates its base under a row P, then runs the base and
 the edit warm under P (same-configuration reuse) and again under a
 different row W (cross-configuration reuse); every run must equal its
-row's scratch verdict.  Seed *i* takes ``P = ROWS[i % 6]`` and
-``W = ROWS[(i + 1) % 6]``, so the seeds walk the table and cross
-lemmas on->off, fifo<->wto and incremental on<->off; the curated items
-cross the widest gap, all-on to all-off.  The store key must separate
-what changes verdicts (the lemma bit: a lemma-assisted summary would
-turn a lemma-free failure into a pass) and may share what does not.
-The seeds also rotate through :data:`FAULTS` between populate and warm
-runs: flip a byte in every indexed object (checksum), truncate them
-(torn write), rewrite them under a bumped schema (stale entry), append
-half an index line (torn tail), or populate in a child SIGKILLed at
-its second store write and re-run cold over the debris.
+row's scratch verdict.  Seed *i* takes ``P = ROWS[i % 5]`` and
+``W = ROWS[(i + 1) % 5]``, so the seeds walk the table and cross each
+knob on<->off; the curated items cross the widest gap, all-on to
+all-off.  The store key must separate what changes verdicts (the lemma
+bit: a lemma-assisted summary would turn a lemma-free failure into a
+pass) and may share what does not.  Seed *i* also applies fault
+``FAULTS[i % 6]`` from :data:`FAULTS` between populate and warm runs:
+flip a byte in every indexed object (checksum), truncate them (torn
+write), rewrite them under a bumped schema (stale entry), append half
+an index line (torn tail), or populate in a child SIGKILLed at its
+second store write and re-run cold over the debris.  Five rows and six
+faults are coprime, so every 30 consecutive seeds pair every fault
+with every populate row -- the incremental-on rows included, which
+write the fixpoint bundles a fault then damages.
 
 The gate exits 1 on any divergence or crash, and when nothing was
 exercised: zero warm store hits, zero fixpoint replays, no
@@ -68,9 +70,11 @@ from repro.store.store import STORE_SCHEMA, SummaryStore
 __all__ = ["CURATED", "FAULTS", "ROWS", "core_verdict", "main",
            "pair_names", "run_gate"]
 
-#: Engine configurations, one bit per knob: cache, lemmas, wto,
-#: incremental.  A pairwise cover plus the all-on/all-off corners.
-ROWS = ("1111", "0000", "1100", "0011", "1010", "0101")
+#: Engine configurations, one bit per knob: cache, lemmas,
+#: incremental.  A pairwise cover plus the all-on/all-off corners.  Its
+#: length must stay coprime with ``len(FAULTS)`` so the seeds pair every
+#: fault with every populate row.
+ROWS = ("111", "000", "110", "101", "011")
 
 #: Curated programs, each run in strict and in degrade mode: the list
 #: staples, the entailment-bound stress program and the lemma programs.
@@ -127,7 +131,7 @@ def core_verdict(result) -> dict:
 
 
 def _analyze(name: str, mode: str, row: str, deadline: float, store=None):
-    cache, lemmas, wto, incremental = (bit == "1" for bit in row)
+    cache, lemmas, incremental = (bit == "1" for bit in row)
     return ShapeAnalysis(
         _resolve_benchmark(name),
         name=name,
@@ -135,7 +139,6 @@ def _analyze(name: str, mode: str, row: str, deadline: float, store=None):
         deadline_seconds=deadline,
         enable_cache=cache,
         enable_lemmas=lemmas,
-        schedule="wto" if wto else "fifo",
         enable_incremental=incremental,
         store=store,
     ).run()

@@ -11,8 +11,7 @@ package makes those repeats cheap without touching soundness:
 * :mod:`repro.perf.cache` -- the bounded LRU
   :class:`~repro.perf.cache.EntailmentCache` the entailment layer
   consults, with hit/miss/eviction counters surfaced as
-  ``entailment.cache.*`` metrics;
-* :mod:`repro.perf.revisits` -- the WTO-vs-FIFO worklist revisit fixture.
+  ``entailment.cache.*`` metrics.
 
 Following the :mod:`repro.obs` pattern, the *active* cache is a
 module-level global (:data:`CACHE`) swapped in per analysis run by

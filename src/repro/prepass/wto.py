@@ -30,8 +30,9 @@ recursion limit):
 
 Everything is deterministic: successor tuples come straight from the
 instruction encoding and all tie-breaks are positional, so the same
-procedure always yields the same WTO (the wto/fifo rows of ``python -m
-repro diff`` rely on this).
+procedure always yields the same WTO, and the engine's worklist the
+same trajectory (the exact worklist counters pinned by
+``tests/test_wto_schedule.py`` rely on this).
 """
 
 from __future__ import annotations

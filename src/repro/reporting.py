@@ -89,10 +89,7 @@ def render_batch_report(report: Mapping) -> str:
         render_table(
             headers,
             rows,
-            title=(
-                f"Batch report (mode={report.get('mode', '?')}, "
-                f"isolated={report.get('isolated', '?')})"
-            ),
+            title=f"Batch report (mode={report.get('mode', '?')})",
         ),
         f"outcomes: {counts_line}",
     ]

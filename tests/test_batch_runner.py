@@ -47,27 +47,27 @@ class TestRunOne:
 
 class TestBatchInProcess:
     def test_counts_and_ok(self):
-        report = run_batch(["treeadd", "list-build"], isolate=False)
+        report = run_batch(["treeadd", "list-build"])
         assert report.counts["pass"] == 2
         assert report.ok
         assert report.budget_totals()["states"] > 0
 
     def test_deadline_produces_failed_count(self):
-        report = run_batch(
-            ["181.mcf"], deadline=0.001, isolate=False, mode="strict"
-        )
+        report = run_batch(["181.mcf"], deadline=0.001, mode="strict")
         assert report.counts["failed"] == 1
         assert not report.ok
         (record,) = report.records
         assert record.diagnostics[0]["code"] == "budget-exhausted"
 
     def test_render_mentions_every_run(self):
-        report = run_batch(["treeadd", "power"], isolate=False)
+        report = run_batch(["treeadd", "power"])
         text = report.render()
         assert "treeadd" in text and "power" in text
         assert "outcomes:" in text
 
     def test_crash_is_contained_to_one_record(self, monkeypatch):
+        # A monkeypatched factory cannot reach the zygote's children,
+        # so this runs the child side, run_one, in this process.
         import repro.benchsuite.runner as runner_module
 
         factories = benchmark_factories()
@@ -79,15 +79,14 @@ class TestBatchInProcess:
         monkeypatch.setattr(
             runner_module, "benchmark_factories", lambda: factories
         )
-        report = run_batch(["exploding", "treeadd"], isolate=False)
-        assert report.counts["crashed"] == 1
-        assert report.counts["pass"] == 1
-        assert not report.ok
+        record = run_one("exploding")
+        assert record.outcome == "crashed"
+        assert record.error == "RecursionError: synthetic crash"
 
 
 class TestBatchIsolated:
     def test_subprocess_isolation_runs_and_reports(self):
-        report = run_batch(["list-build"], isolate=True, timeout=120.0)
+        report = run_batch(["list-build"], timeout=120.0)
         assert report.counts["pass"] == 1
         (record,) = report.records
         assert record.result["outcome"] == "pass"
@@ -97,7 +96,7 @@ class TestBatchIsolated:
         # timeout, even in a child forked with the analyzer already
         # imported: the child is killed and classified, the batch
         # itself survives.
-        report = run_batch(["perimeter"], isolate=True, timeout=0.05)
+        report = run_batch(["perimeter"], timeout=0.05)
         (record,) = report.records
         assert record.outcome == "timeout"
         assert not report.ok
@@ -117,24 +116,23 @@ class TestRunnerCLI:
 
     def test_batch_json_output(self, tmp_path, capsys):
         out_path = tmp_path / "report.json"
-        code = runner_main(
-            ["treeadd", "--no-isolate", "--json", str(out_path)]
-        )
+        code = runner_main(["treeadd", "--json", str(out_path)])
         assert code == 0
         report = json.loads(out_path.read_text())
         assert report["counts"]["pass"] == 1
         assert report["runs"][0]["name"] == "treeadd"
 
     def test_repro_batch_flag(self, capsys):
-        code = cli_main(["--batch", "--no-isolate", "--mode", "degrade"])
+        code = cli_main(["batch", "treeadd", "list-build"])
         out = capsys.readouterr().out
         assert code == 0
         assert "outcomes:" in out
 
 
 class TestReproBatchFlags:
-    """``python -m repro --batch`` forwards every flag the runner can
-    honor and refuses, with a usage error, the ones it cannot."""
+    """``python -m repro batch`` is the batch runner's own CLI: it hands
+    its arguments over unchanged, so the two share one set of flags and
+    defaults, and refuse the same single-run flags."""
 
     @pytest.fixture
     def batch_calls(self, monkeypatch):
@@ -142,22 +140,32 @@ class TestReproBatchFlags:
 
         calls = []
 
-        def fake_run_batch(**kwargs):
+        def fake_run_batch(names, **kwargs):
             calls.append(kwargs)
             return BatchReport([RunRecord(name="x", outcome="pass")])
 
         monkeypatch.setattr(runner, "run_batch", fake_run_batch)
         return calls
 
+    def test_argv_reaches_the_runner_unchanged(self, monkeypatch):
+        import repro.benchsuite.runner as runner
+
+        seen = []
+        monkeypatch.setattr(runner, "main", lambda argv: seen.append(argv) or 7)
+        argv = ["treeadd", "--mode", "strict", "--no-cache", "--jobs", "2"]
+        assert cli_main(["batch", *argv]) == 7
+        assert seen == [argv]
+
     def test_no_cache_is_forwarded(self, batch_calls, capsys):
-        assert cli_main(["--batch", "--no-cache"]) == 0
-        assert cli_main(["--batch"]) == 0
+        assert cli_main(["batch", "--no-cache"]) == 0
+        assert cli_main(["batch"]) == 0
         assert [c["cache"] for c in batch_calls] == [False, True]
 
     def test_mode_is_forwarded(self, batch_calls, capsys):
-        cli_main(["--batch"])
-        cli_main(["--batch", "--mode", "degrade"])
-        assert [c["mode"] for c in batch_calls] == ["strict", "degrade"]
+        # The runner's default mode, degrade, is the only default.
+        cli_main(["batch"])
+        cli_main(["batch", "--mode", "strict"])
+        assert [c["mode"] for c in batch_calls] == ["degrade", "strict"]
 
     @pytest.mark.parametrize(
         "flags",
@@ -171,9 +179,22 @@ class TestReproBatchFlags:
     def test_unsupported_engine_flag_is_usage_error(
         self, batch_calls, capsys, flags
     ):
-        assert cli_main(["--batch", *flags]) == 2
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["batch", *flags])
+        assert exit_info.value.code == 2
         assert flags[0] in capsys.readouterr().err
         assert batch_calls == []
+
+    @pytest.mark.parametrize(
+        "argv", [["batch", "--no-wto"], ["--batch"]], ids=["no-wto", "old-flag"]
+    )
+    def test_command_line_usage_errors_exit_2(self, argv):
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True, text=True, env=child_env(), timeout=120,
+        )
+        assert done.returncode == 2
+        assert argv[-1] in done.stderr
 
     def test_no_cache_reaches_isolated_children(self, capsys):
         # End to end through the zygote: with the memos off the child
@@ -229,7 +250,7 @@ class TestCrucibleBenchmarks:
     def test_crucible_name_regenerates_in_subprocess(self):
         # The name alone must carry enough to rebuild the program on
         # the child side of the isolation boundary.
-        report = run_batch(["crucible:2"], isolate=True, timeout=120.0)
+        report = run_batch(["crucible:2"], timeout=120.0)
         assert report.counts["pass"] == 1
 
     def test_malformed_crucible_name_is_crash_record(self):
@@ -242,7 +263,7 @@ class TestSignalClassification:
         from repro.childproc import CHILD_CHAOS_ENV
 
         monkeypatch.setenv(CHILD_CHAOS_ENV, "kill:9")
-        report = run_batch(["treeadd"], isolate=True, timeout=120.0)
+        report = run_batch(["treeadd"], timeout=120.0)
         (record,) = report.records
         assert record.outcome == "crashed"
         assert record.signal == "SIGKILL"
@@ -254,7 +275,7 @@ class TestSignalClassification:
         from repro.childproc import CHILD_CHAOS_ENV
 
         monkeypatch.setenv(CHILD_CHAOS_ENV, "sleep:60")
-        report = run_batch(["treeadd"], isolate=True, timeout=0.5)
+        report = run_batch(["treeadd"], timeout=0.5)
         (record,) = report.records
         assert record.outcome == "timeout"
         assert record.signal is None
@@ -300,8 +321,8 @@ def _scrub_timing(obj):
 class TestParallelBatch:
     def test_jobs_matches_serial_modulo_timing(self):
         names = ["treeadd", "list-build", "crucible:1"]
-        serial = run_batch(names, isolate=True, jobs=1, timeout=120.0)
-        parallel = run_batch(names, isolate=True, jobs=2, timeout=120.0)
+        serial = run_batch(names, jobs=1, timeout=120.0)
+        parallel = run_batch(names, jobs=2, timeout=120.0)
         assert _scrub_timing(serial.to_dict()) == _scrub_timing(
             parallel.to_dict()
         )
@@ -310,18 +331,8 @@ class TestParallelBatch:
         # Deliberately non-alphabetical; completion order must not
         # reorder the report.
         names = ["power", "list-build", "treeadd"]
-        report = run_batch(names, isolate=True, jobs=3, timeout=120.0)
+        report = run_batch(names, jobs=3, timeout=120.0)
         assert [record.name for record in report.records] == names
-
-    def test_jobs_requires_isolation(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            run_batch(["treeadd"], isolate=False, jobs=2)
-
-    def test_cli_rejects_jobs_with_no_isolate(self, capsys):
-        assert runner_main(["treeadd", "--jobs", "2", "--no-isolate"]) == 2
-        assert "--jobs" in capsys.readouterr().err
 
     def test_jobs_with_deadline(self):
         # The cooperative analysis deadline still fires inside each

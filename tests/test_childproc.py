@@ -103,7 +103,6 @@ class TestRunnerTimeoutDiagnostic:
         )
         report = run_batch(
             ["treeadd"],
-            isolate=True,
             timeout=1.0,
             trace_dir=str(tmp_path),
         )

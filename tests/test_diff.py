@@ -36,3 +36,11 @@ def test_diverging_warm_verdict_fails_the_gate(tmp_path, monkeypatch):
         failure.startswith("list-build (strict): warm core verdict")
         for failure in report["failures"]
     ), report["failures"]
+
+
+def test_every_fault_meets_every_populate_row():
+    """The default sweep must damage stores populated under every row,
+    the incremental-on rows included: those write the fixpoint bundles
+    a warm run replays."""
+    met = {(fault, populate) for *_, fault, populate, _ in diff._items(52, 1)}
+    assert met == {(fault, row) for fault in diff.FAULTS for row in diff.ROWS}

@@ -341,7 +341,6 @@ class TestBatchIntegration:
     def test_trace_dir_collects_per_benchmark_traces(self, tmp_path):
         report = run_batch(
             names=["list-build", "list-reverse"],
-            isolate=False,
             trace_dir=tmp_path,
         )
         for record in report.records:
@@ -351,7 +350,7 @@ class TestBatchIntegration:
             assert any(r["name"] == "analysis" for r in records)
 
     def test_metrics_aggregated_per_outcome(self, tmp_path):
-        report = run_batch(names=["list-build", "list-reverse"], isolate=False)
+        report = run_batch(names=["list-build", "list-reverse"])
         payload = report.to_dict()
         assert "metrics" in payload
         merged = payload["metrics"]
@@ -363,9 +362,7 @@ class TestBatchIntegration:
         assert all("." in name for name in merged[outcome])
 
     def test_isolated_child_round_trips_trace_path(self, tmp_path):
-        report = run_batch(
-            names=["list-build"], isolate=True, trace_dir=tmp_path
-        )
+        report = run_batch(names=["list-build"], trace_dir=tmp_path)
         (record,) = report.records
         assert record.outcome == "pass"
         assert record.trace == str(trace_file_for(tmp_path, "list-build"))
@@ -383,7 +380,7 @@ class TestBatchReportRendering:
             "diagnostics": [], "error": None, "signal": None,
         }
         run.update(run_overrides)
-        return {"mode": "degrade", "isolated": True, "runs": [run],
+        return {"mode": "degrade", "runs": [run],
                 "counts": {"pass": 1}, "budget": {}}
 
     def test_long_note_ellipsized(self):

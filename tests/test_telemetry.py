@@ -156,7 +156,7 @@ class TestHistogramStatMerging:
     def test_batch_runner_aggregates_histograms(self):
         from repro.benchsuite.runner import run_batch
 
-        report = run_batch(names=["list-build", "list-reverse"], isolate=False)
+        report = run_batch(names=["list-build", "list-reverse"])
         merged = report.to_dict()["metrics"]
         outcome = report.records[0].outcome
         base = "entailment.match_steps.dist"
