@@ -23,12 +23,13 @@ Soundness gate: ``python -m repro diff`` runs seeded crucible edit
 pairs and the curated programs under a fixed pairwise cover of engine
 configurations (cache, lemmas, incremental), from scratch and against
 one shared, fault-injected store, and fails on any core-verdict
-divergence (see :mod:`repro.diff`).  ``--no-cache``, ``--no-lemmas``,
-``--no-store`` and ``--no-incremental`` switch one knob off for a
-single run.
+divergence (see :mod:`repro.diff`).  ``--no-cache``, ``--no-lemmas``
+and ``--no-incremental`` switch one knob off for a single run;
+``--store PATH`` attaches a durable summary store to one.
 
 Serving: ``python -m repro serve`` runs the supervised analysis daemon
-(persistent warm-cache workers behind a bounded queue; see
+(persistent workers, each keeping its procedure-summary table across
+jobs, behind a bounded queue; see
 :mod:`repro.serve`), ``submit`` sends it one job, ``serve-bench``
 load-tests it, and ``serve-smoke`` is the CI chaos gate.
 
@@ -162,12 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="durable predicate/summary store directory: validated "
         "summaries are reused across runs and processes (verdicts are "
-        "identical either way; see 'python -m repro diff')",
-    )
-    parser.add_argument(
-        "--no-store",
-        action="store_true",
-        help="ignore --store and any REPRO_STORE default (verdicts are "
         "identical either way; see 'python -m repro diff')",
     )
     parser.add_argument(
@@ -479,11 +474,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
 
     store = None
-    store_path = None if args.no_store else (args.store or os.environ.get("REPRO_STORE"))
-    if store_path:
+    if args.store:
         from repro.store import SummaryStore
 
-        store = SummaryStore.open(store_path)
+        store = SummaryStore.open(args.store)
 
     result = ShapeAnalysis(
         program,
@@ -505,7 +499,7 @@ def main(argv: list[str] | None = None) -> int:
         print(
             "store: {hits} hit(s), {misses} miss(es), {writes} write(s), "
             "{invalid} rejected, {entries} entr(ies) at {path}".format(
-                path=store_path, **stats
+                path=args.store, **stats
             )
         )
 

@@ -82,13 +82,13 @@ class ShapeAnalysis:
     enable_cache: bool = True
     #: Pre-built entailment cache (overrides ``enable_cache``); cache
     #: keys are fully structural, so a cache passed across runs carries
-    #: verdicts over -- the serve worker keeps one warm across jobs.
+    #: verdicts over -- perfbench's ``edit-loop`` workload shares one.
     cache: "perf.EntailmentCache | None" = None
     #: Pre-built unfold memo / fold identity memo (override the
     #: per-run ones).  Like ``cache``, their keys are canonical forms
     #: plus the structural ``PredicateEnv.cache_token()``, so a memo
-    #: handed to several runs legitimately replays across them -- the
-    #: serve worker keeps one of each warm across jobs.  Stored states
+    #: handed to several runs legitimately replays across them --
+    #: perfbench's ``edit-loop`` shares one of each.  Stored states
     #: are replayed through renaming tables, never shared by identity.
     unfold_cache: "perf.EntailmentCache | None" = None
     fold_cache: "perf.IdentityMemo | None" = None
@@ -120,7 +120,7 @@ class ShapeAnalysis:
     enable_incremental: bool = True
     #: Pre-built in-memory fixpoint tier
     #: (:class:`repro.store.fixpoint.FixpointTable`), checked before
-    #: the durable store; a serve worker keeps one per benchmark so
+    #: the durable store; a serve worker keeps one for its lifetime so
     #: edit-loop replays never touch disk.
     fixpoint_table: "object | None" = None
 

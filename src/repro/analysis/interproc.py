@@ -296,8 +296,8 @@ class ShapeEngine:
         self.incremental = incremental
         #: optional in-memory fixpoint tier
         #: (:class:`repro.store.fixpoint.FixpointTable`), checked before
-        #: the durable store; serve workers keep one per benchmark so an
-        #: edit-loop replay never touches disk.
+        #: the durable store; a serve worker keeps one for its lifetime
+        #: so an edit-loop replay never touches disk.
         self.fixpoint = fixpoint
         self._fixpoint_consulted: set[str] = set()
         self._cone_digest_cache: "dict[str, str] | None" = None

@@ -259,14 +259,36 @@ def run_one(
     trace_path: "str | Path | None" = None,
     cache: bool = True,
     lemmas: bool = True,
+    edit: "dict | None" = None,
+    store=None,
+    metrics=None,
+    fixpoint_table=None,
+    engine_factory=None,
 ) -> RunRecord:
     """Run one benchmark in-process.  ``ShapeAnalysis.run`` already
     contains analysis failures and internal errors; the extra guard
-    here catches factory bugs and truly unexpected escapes so a batch
-    record is always produced."""
+    here catches spec errors (an unknown edit target, a bad fault
+    spec), factory bugs and truly unexpected escapes so a record is
+    always produced.
+
+    *edit* is a :class:`repro.serve.protocol.JobSpec` edit dict
+    (``seed`` and ``kinds``, optional ``count`` and ``target``),
+    applied with :func:`repro.crucible.generator.edit_program`.
+    *store*, *metrics*, *fixpoint_table* and *engine_factory* are
+    passed to :class:`ShapeAnalysis` unchanged."""
     start = time.perf_counter()
     try:
         program = _resolve_benchmark(name)
+        if edit is not None:
+            from repro.crucible.generator import edit_program
+
+            program, _notes = edit_program(
+                program,
+                edit["seed"],
+                count=edit.get("count", 1),
+                target=edit.get("target"),
+                kinds=tuple(edit["kinds"]) if edit.get("kinds") else None,
+            )
         result = ShapeAnalysis(
             program,
             name=name,
@@ -277,6 +299,10 @@ def run_one(
             trace_path=trace_path,
             enable_cache=cache,
             enable_lemmas=lemmas,
+            store=store,
+            metrics=metrics,
+            fixpoint_table=fixpoint_table,
+            engine_factory=engine_factory,
         ).run()
     except Exception as exc:
         return RunRecord(

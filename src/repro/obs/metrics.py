@@ -164,7 +164,6 @@ METRIC_SCHEMA: dict[str, str] = {
     "serve.jobs.degraded": "counter",
     "serve.workers.spawned": "counter",
     "serve.workers.restarts": "counter",
-    "serve.workers.warmed": "counter",
     "serve.degrade.entered": "counter",
     "serve.degrade.exited": "counter",
     "serve.queue.depth": "gauge",
@@ -201,7 +200,6 @@ METRIC_SCHEMA: dict[str, str] = {
     "incr.procedures.reused": "counter",
     "incr.procedures.invalidated": "counter",
     "incr.summaries.replayed": "counter",
-    "incr.tables.injected": "counter",
     "incr.cone.size": "gauge",
     "incr.cone.depth": "gauge",
     "incr.table.decode.seconds": "histogram",

@@ -20,8 +20,7 @@ module-level global (:data:`CACHE`) swapped in per analysis run by
 structural -- canonical state keys plus a structural
 predicate-environment token -- so a cache handed to several runs
 (``ShapeAnalysis(cache=...)``) legitimately carries verdicts across
-them; the serve worker and perfbench's ``edit-loop`` workload run
-exactly that warm path.
+them; perfbench's ``edit-loop`` workload runs exactly that warm path.
 """
 
 from __future__ import annotations

@@ -2,12 +2,16 @@
 
 ``python -m repro serve`` turns the one-shot analyzer into a
 long-lived daemon: a bounded job queue fronting a pool of *persistent*
-worker processes that keep the entailment cache and the unfold/fold
-memos warm across jobs.  Warmth does not buy throughput at this
-scale: ``serve-bench --clients 2 --jobs 20 --workers 2`` on a 2-core
-VM, five alternating pairs, medians, gave 77.8 jobs/s with warm memos
-against 81.4 with per-job memos on Table-4 traffic, and 21.7 against
-21.8 on ``--diff`` traffic (pair-to-pair spread about 15%).
+worker processes.  A worker's only state across jobs is what the
+paper reuses across analyses, the per-procedure summaries (Section
+5.2 tabulation): one in-memory fixpoint table, plus the shared durable
+store when ``--store`` names one.  Each job otherwise gets the
+engine's default per-run memos.  Cross-job entailment and unfold/fold
+memos were measured and removed: ``serve-bench --clients 2 --jobs 20
+--workers 2`` on a 2-core VM, five alternating pairs, medians, gave
+77.8 jobs/s with warm memos against 81.4 with per-job memos on
+Table-4 traffic, and 21.7 against 21.8 on ``--diff`` traffic
+(pair-to-pair spread about 15%).
 
 The service layer is deliberately paranoid, because the crucible
 already proved the analysis can crash, hang and exhaust budgets:
@@ -31,7 +35,7 @@ already proved the analysis can crash, hang and exhaust budgets:
   :class:`repro.serve.client.Client`);
 * the **load generator** (:mod:`repro.serve.loadgen`) measures the
   service under N concurrent clients -- p50/p99 latency, throughput,
-  cold vs warm cache hit rates -- so "heavy traffic" is a number, and
+  fixpoint replay rates -- so "heavy traffic" is a number, and
   the **smoke harness** (:mod:`repro.serve.smoke`) is the CI gate:
   twenty jobs with a chaos-killed worker must all complete with
   verdicts identical to single-shot runs.

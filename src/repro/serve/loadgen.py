@@ -10,11 +10,8 @@ what a service owner actually wants to know:
 * **backpressure** -- how many submits were rejected-with-retry-after
   and how long clients spent backed off (the explicit cost of the
   bounded queue);
-* **cache warmth** -- mean ``entailment.cache`` hit rate of each
-  worker generation's *first* job (cold) vs all later jobs (warm).
-  A higher warm hit rate is not a throughput gain: measured against
-  per-job memos (see :mod:`repro.serve`), warm memos moved jobs/s by
-  less than the run-to-run spread.
+* **replay** (``--diff`` only) -- how many jobs replayed procedure
+  summaries from their worker's fixpoint table.
 
 The generator is also importable (:func:`run_load`) so the smoke
 harness and tests reuse the same traffic engine.
@@ -49,14 +46,6 @@ def percentile(values: list, p: float) -> float:
     high = min(low + 1, len(ordered) - 1)
     fraction = rank - low
     return ordered[low] * (1 - fraction) + ordered[high] * fraction
-
-
-def _hit_rate(stats: dict) -> "float | None":
-    hits = stats.get("entailment.cache.hits", 0)
-    misses = stats.get("entailment.cache.misses", 0)
-    if hits + misses == 0:
-        return None
-    return hits / (hits + misses)
 
 
 def run_load(
@@ -125,10 +114,7 @@ def run_load(
                         "benchmark": benchmark,
                         "outcome": record.get("outcome"),
                         "latency": latency,
-                        "worker": serve.get("worker"),
-                        "generation": serve.get("generation"),
                         "degraded": serve.get("degraded"),
-                        "hit_rate": _hit_rate(stats),
                         "replayed": stats.get("incr.summaries.replayed", 0),
                     }
                 )
@@ -148,21 +134,6 @@ def run_load(
     outcomes: dict = {}
     for r in results:
         outcomes[r["outcome"]] = outcomes.get(r["outcome"], 0) + 1
-
-    # Cold = each (worker, generation)'s first-served job; warm = rest.
-    # Results are appended in completion order, which is serve order
-    # per worker, so "first seen" is "first served".
-    cold_rates, warm_rates = [], []
-    seen_workers: set = set()
-    for r in results:
-        if r["hit_rate"] is None or r["worker"] is None:
-            continue
-        key = (r["worker"], r["generation"])
-        if key not in seen_workers:
-            seen_workers.add(key)
-            cold_rates.append(r["hit_rate"])
-        else:
-            warm_rates.append(r["hit_rate"])
 
     def mean(values: list) -> "float | None":
         return round(sum(values) / len(values), 4) if values else None
@@ -198,11 +169,6 @@ def run_load(
         },
         "rejected_submits": rejected,
         "backoff_seconds": round(backoff_seconds, 3),
-        "cache": {
-            "cold_hit_rate": mean(cold_rates),
-            "warm_hit_rate": mean(warm_rates),
-            "worker_generations_seen": len(seen_workers),
-        },
         "degraded_jobs": sum(1 for r in results if r.get("degraded")),
         "diff": diff,
         "incremental": incremental,
@@ -223,12 +189,6 @@ def render_report(report: dict) -> str:
         f"{report['backoff_seconds']}s backed off, "
         f"{report['degraded_jobs']} degraded jobs",
     ]
-    cache = report["cache"]
-    lines.append(
-        f"  cache: cold hit rate {cache['cold_hit_rate']}, "
-        f"warm hit rate {cache['warm_hit_rate']} "
-        f"({cache['worker_generations_seen']} worker generation(s))"
-    )
     if report.get("incremental"):
         incr = report["incremental"]
         lines.append(

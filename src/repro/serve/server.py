@@ -184,7 +184,6 @@ class AnalysisServer:
         workers: int = 2,
         capacity: int = 16,
         max_retries: int = 2,
-        cache_size: int = 65536,
         default_mode: str = "strict",
         degraded_deadline: float = 5.0,
         high_water: "int | None" = None,
@@ -218,7 +217,6 @@ class AnalysisServer:
             workers=workers,
             capacity=capacity,
             max_retries=max_retries,
-            cache_size=cache_size,
             default_mode=default_mode,
             store_path=store_path,
             on_event=self._pool_event,
@@ -510,7 +508,6 @@ def main(argv: "list[str] | None" = None) -> int:
         default=2,
         help="re-runs of a job whose worker died before giving up",
     )
-    parser.add_argument("--cache-size", type=int, default=65536)
     parser.add_argument(
         "--mode", choices=("strict", "degrade"), default="strict"
     )
@@ -537,11 +534,6 @@ def main(argv: "list[str] | None" = None) -> int:
         "(cross-worker warm tier that survives restarts)",
     )
     parser.add_argument(
-        "--no-store",
-        action="store_true",
-        help="ignore --store and any REPRO_STORE default",
-    )
-    parser.add_argument(
         "--pidfile",
         default=None,
         metavar="PATH",
@@ -559,9 +551,7 @@ def main(argv: "list[str] | None" = None) -> int:
         )
         return 1
 
-    store_path = None if args.no_store else (
-        args.store or os.environ.get("REPRO_STORE")
-    )
+    store_path = args.store
     # Register as a live store consumer so ``repro store-gc`` refuses
     # to evict the pool's warm working set out from under it.
     if store_path:
@@ -573,7 +563,6 @@ def main(argv: "list[str] | None" = None) -> int:
         workers=args.workers,
         capacity=args.queue,
         max_retries=args.retries,
-        cache_size=args.cache_size,
         default_mode=args.mode,
         degraded_deadline=args.degraded_deadline,
         high_water=args.high_water,

@@ -17,24 +17,14 @@ robustness contract:
 3. **supervision really happened** -- ``serve.workers.restarts >= 1``
    and ``serve.jobs.retried >= 1`` in the daemon's metrics (a smoke
    run where the chaos never fired proves nothing);
-4. **warm after restart** -- the replacement worker's entailment cache
-   shows hits on later jobs (``hits > 0``): a restart loses the warm
-   state but the worker re-warms in service, it does not devolve to
-   one-shot behavior;
-5. **bounded latency** -- p99 under a generous budget, so a hang that
+4. **bounded latency** -- p99 under a generous budget, so a hang that
    supervision papered over still fails the gate;
-6. **the durable store survives the restart** -- the pool shares one
-   summary store directory (:mod:`repro.store`), and the replacement
-   worker must reach a non-zero store hit count: unlike the in-process
-   caches (which check 4 proves must *re-warm*), the store's warmth
-   carries *across* the kill -- the generation-1 process reads the
-   summaries its dead predecessor persisted.
-7. **fixpoint warm-up fired** -- the supervisor injected the dead
-   generation's last fixpoint-table dump into the replacement
-   (``serve.workers.warmed >= 1``), and the restarted worker's own
-   metrics confirm the injection (``incr.tables.injected >= 1``): the
-   in-memory replay tier, unlike the caches of check 4, must *not*
-   start cold after a kill.
+5. **the durable store survives the restart** -- the pool shares one
+   summary store directory (:mod:`repro.store`), and a job served by
+   the killed slot's replacement must reach a non-zero store hit
+   count: the store's warmth carries *across* the kill -- the
+   generation-1 process, whose in-memory fixpoint table started
+   empty, reads the summaries its dead predecessor persisted.
 
 Exit code 0 when every check passes; 1 with the failed checks listed.
 """
@@ -184,24 +174,36 @@ def run_smoke(
     if metrics.get("serve.jobs.retried", 0) < 1:
         failures.append("no job retry recorded -- victim job not re-run?")
 
-    # 4. Warm after restart: a post-restart response from the killed
-    # worker slot whose entailment cache shows hits.  The batch may
-    # have fed the replacement only one (cold) job, so probe with a
-    # few more sequential jobs until the slot demonstrates warmth --
-    # jobs are pulled by whichever worker is free, so several probes
-    # may be needed before one lands on the restarted slot.
+    # 4. Bounded latency.
+    latencies = [r["latency"] for r in responses]
+    p99 = percentile(latencies, 99)
+    if p99 > timeout:
+        failures.append(f"p99 latency {p99:.1f}s over the {timeout}s budget")
+
+    # 5. Durable warm tier: a job on the killed slot's replacement must
+    # hit summaries persisted before the kill.  The entry-procedure
+    # summary short-circuits a whole repeat analysis, so its very
+    # first job on a benchmark the pool has seen already hits.  Jobs
+    # are pulled by whichever worker is free, so several sequential
+    # probes may be needed before one lands on the restarted slot.
+    # Without a store the check only requires such a job.
     def _post_restart(r: dict) -> bool:
         return (
             r["serve"].get("worker") == 0
             and (r["serve"].get("generation") or 0) >= 1
         )
 
-    def _hits(r: dict) -> int:
-        return (r["serve"].get("cache") or {}).get("hits", 0)
+    def _store_hits(r: dict) -> int:
+        return (r["serve"].get("store") or {}).get("hits", 0)
+
+    def _settled(rs: list) -> bool:
+        if store_path is None:
+            return bool(rs)
+        return any(_store_hits(r) > 0 for r in rs)
 
     restarted = [r for r in responses if _post_restart(r)]
     for probe in range(12):
-        if any(_hits(r) > 0 for r in restarted):
+        if _settled(restarted):
             break
         try:
             response = client.submit(
@@ -211,7 +213,7 @@ def run_smoke(
                 retry_for=timeout,
             )
         except (OSError, ServerError) as exc:
-            failures.append(f"warmth probe {probe}: {exc}")
+            failures.append(f"post-restart probe {probe}: {exc}")
             break
         r = {
             "index": f"probe-{probe}",
@@ -225,84 +227,12 @@ def run_smoke(
         failures.append(
             "no post-restart job observed on the killed worker slot"
         )
-    elif not any(_hits(r) > 0 for r in restarted):
+    elif not _settled(restarted):
         failures.append(
-            "restarted worker never warmed: entailment cache hits "
-            f"stayed 0 across {len(restarted)} post-restart jobs"
+            "restarted worker never hit the durable store: store "
+            f"hits stayed 0 across {len(restarted)} post-restart "
+            "jobs (warm tier did not survive the kill)"
         )
-
-    # 5. Bounded latency.
-    latencies = [r["latency"] for r in responses]
-    p99 = percentile(latencies, 99)
-    if p99 > timeout:
-        failures.append(f"p99 latency {p99:.1f}s over the {timeout}s budget")
-
-    # 6. Durable warm tier: the restarted (fresh, cache-cold) worker
-    # must hit summaries persisted before the kill.  The entry-
-    # procedure summary short-circuits a whole repeat analysis, so its
-    # very first job on a benchmark the pool has seen already hits.
-    def _store_hits(r: dict) -> int:
-        return (r["serve"].get("store") or {}).get("hits", 0)
-
-    if store_path is not None:
-        for probe in range(12):
-            if any(_store_hits(r) > 0 for r in restarted):
-                break
-            try:
-                response = client.submit(
-                    JobSpec(
-                        benchmark=SMOKE_BENCHMARKS[0],
-                        mode=mode,
-                        timeout=timeout,
-                    ),
-                    retry_for=timeout,
-                )
-            except (OSError, ServerError) as exc:
-                failures.append(f"store warmth probe {probe}: {exc}")
-                break
-            r = {
-                "index": f"store-probe-{probe}",
-                "benchmark": SMOKE_BENCHMARKS[0],
-                "record": response.get("record") or {},
-                "serve": response.get("serve") or {},
-            }
-            if _post_restart(r):
-                restarted.append(r)
-        if restarted and not any(_store_hits(r) > 0 for r in restarted):
-            failures.append(
-                "restarted worker never hit the durable store: store "
-                f"hits stayed 0 across {len(restarted)} post-restart "
-                "jobs (warm tier did not survive the kill)"
-            )
-
-    # 7. Fixpoint warm-up: the supervisor must have injected the dead
-    # generation's table into the replacement, and the replacement's
-    # own session metrics must record the injection.  Both ends of the
-    # warm round-trip are asserted, so a supervisor that *sends* a dump
-    # a worker silently rejects still fails the gate.
-    warmed = metrics.get("serve.workers.warmed", 0)
-    if warmed < 1:
-        failures.append(
-            "supervisor never warmed a restarted worker "
-            "(serve.workers.warmed stayed 0)"
-        )
-    else:
-        try:
-            worker_stats = client.stats().get("workers") or []
-        except (OSError, ServerError) as exc:
-            worker_stats = []
-            failures.append(f"stats fetch for warm-up check: {exc}")
-        injected = 0
-        for info in worker_stats:
-            snapshot = info.get("metrics") or {}
-            injected += (snapshot.get("counters") or {}).get(
-                "incr.tables.injected", 0
-            )
-        if worker_stats and injected < 1:
-            failures.append(
-                "no worker reported incr.tables.injected >= 1 -- the "
-                "warm dump was sent but never merged"
-            )
 
     return {
         "jobs": jobs,
@@ -311,7 +241,6 @@ def run_smoke(
         "latency_p99_seconds": round(p99, 4),
         "restarts": metrics.get("serve.workers.restarts", 0),
         "retries": metrics.get("serve.jobs.retried", 0),
-        "warmed": warmed,
         "post_restart_jobs": len(restarted),
         "failures": failures,
     }
@@ -367,7 +296,7 @@ def main(argv: "list[str] | None" = None) -> int:
         # arm it only at the hard-reject boundary.
         "--high-water", str(max(args.jobs, 16)),
         "--mode", "degrade",
-        # Shared durable store: check 6 asserts the killed worker's
+        # Shared durable store: check 5 asserts the killed worker's
         # replacement reads the summaries its predecessor persisted.
         "--store", store_dir,
     ]

@@ -5,9 +5,8 @@ three ways:
 
 * default: human tables -- service overview (state, queue, restarts),
   job-latency percentiles straight from the rolling histograms,
-  per-worker cache/store hit rates (dead generations included, so a
-  restart's cold/warm split is visible), and the pool-wide engine
-  aggregate;
+  per-worker durable-store hit rates (dead generations included, so
+  a restart stays visible), and the pool-wide engine aggregate;
 * ``--json``: the raw payload, for scripts and dashboards;
 * ``--prom``: a Prometheus-style text exposition of the server and
   aggregated engine registries, for scrape-style collection.
@@ -134,7 +133,6 @@ def render_stats(payload: dict) -> str:
                     f"{info.get('index')} (gen {generation.get('generation')})",
                     "dead",
                     generation.get("jobs_done", 0),
-                    _hit_rate(generation.get("cache")),
                     _hit_rate(generation.get("store")),
                 ]
             )
@@ -143,14 +141,13 @@ def render_stats(payload: dict) -> str:
                 f"{info.get('index')} (gen {info.get('generation')})",
                 "up" if info.get("alive") else "down",
                 info.get("jobs_done", 0),
-                _hit_rate(info.get("cache")),
                 _hit_rate(info.get("store")),
             ]
         )
     if worker_rows:
         sections.append(
             render_table(
-                ["Worker", "State", "Jobs", "Cache hit", "Store hit"],
+                ["Worker", "State", "Jobs", "Store hit"],
                 worker_rows,
                 title="Workers (per generation)",
             )

@@ -14,7 +14,9 @@ the worker's pipes.  The supervision contract:
   keeps the worker's index but gets a new generation; consecutive
   failures double the respawn delay up to a cap (a crash-looping
   worker must not become a fork bomb), and one completed job resets
-  the backoff;
+  the backoff.  The replacement starts with an empty in-memory
+  fixpoint table; the pool's shared durable store (``--store``) is
+  the tier whose summaries survive the death;
 * **bounded retry, then a structured answer** -- the victim job is
   re-run (on the restarted worker, i.e. re-enqueued at the front) at
   most ``max_retries`` times; when retries are exhausted the job
@@ -117,7 +119,6 @@ class WorkerHandle:
         self,
         index: int,
         generation: int,
-        cache_size: int,
         default_mode: str,
         store_path: "str | None" = None,
     ):
@@ -128,8 +129,6 @@ class WorkerHandle:
             sys.executable,
             "-m",
             "repro.serve.worker",
-            "--cache-size",
-            str(cache_size),
             "--mode",
             default_mode,
         ]
@@ -149,7 +148,14 @@ class WorkerHandle:
             bufsize=0,
         )
         self._buffer = bytearray()
-        ready = self._read_message(timeout=SPAWN_TIMEOUT)
+        try:
+            ready = self._read_message(timeout=SPAWN_TIMEOUT)
+        except (WorkerDied, OSError):
+            # Timeout, EOF, a non-protocol line or a read error: the
+            # caller never gets this handle, so nobody else would
+            # reap the child.
+            self.kill()
+            raise
         if ready.get("type") != "ready":
             self.kill()
             raise WorkerDied(
@@ -291,51 +297,35 @@ class _Slot:
         #: Total deaths of this slot's workers (all generations).
         self.restarts = 0
         #: Latest per-result telemetry the current generation pushed:
-        #: entailment-cache stats, store stats, engine-metrics
-        #: snapshot.  Reset when the generation dies (but see
-        #: ``archive``: dead generations stay reported).
-        self.cache_stats: "dict | None" = None
+        #: store stats and engine-metrics snapshot.  Reset when the
+        #: generation dies (but see ``archive``: dead generations stay
+        #: reported).
         self.store_stats: "dict | None" = None
         self.metrics_snapshot: "dict | None" = None
-        #: Latest fixpoint-table wire dump the current generation
-        #: shipped.  Deliberately NOT reset on death: it is the
-        #: inheritance a replacement worker is warmed with.
-        self.fixpoint_wire: "dict | None" = None
-        #: Telemetry of dead generations, newest last -- the
-        #: per-generation cache/store hit-rate history that shows a
-        #: restarted worker re-warming.
+        #: Telemetry of dead generations, newest last; the server's
+        #: engine aggregate sums them with the live ones.
         self.archive: list = []
 
     def note_result(self, response: dict) -> None:
         """Keep the freshest telemetry the worker attached."""
-        if response.get("cache") is not None:
-            self.cache_stats = response["cache"]
         if response.get("store") is not None:
             self.store_stats = response["store"]
         if response.get("metrics") is not None:
             self.metrics_snapshot = response["metrics"]
-        if response.get("fixpoint") is not None:
-            self.fixpoint_wire = response["fixpoint"]
 
     def archive_generation(self) -> None:
         """Move the dying generation's telemetry into the archive."""
-        if (
-            self.cache_stats is not None
-            or self.store_stats is not None
-            or self.metrics_snapshot is not None
-        ):
+        if self.store_stats is not None or self.metrics_snapshot is not None:
             self.archive.append(
                 {
                     "generation": self.generation,
                     "jobs_done": (
                         self.handle.jobs_done if self.handle else 0
                     ),
-                    "cache": self.cache_stats,
                     "store": self.store_stats,
                     "metrics": self.metrics_snapshot,
                 }
             )
-        self.cache_stats = None
         self.store_stats = None
         self.metrics_snapshot = None
 
@@ -348,7 +338,6 @@ class WorkerPool:
         workers: int = 2,
         capacity: int = 64,
         max_retries: int = 2,
-        cache_size: int = 65536,
         default_mode: str = "degrade",
         backoff_base: float = 0.25,
         backoff_cap: float = 10.0,
@@ -361,7 +350,6 @@ class WorkerPool:
             raise ValueError("queue capacity must be >= 1")
         self.capacity = capacity
         self.max_retries = max_retries
-        self.cache_size = cache_size
         self.default_mode = default_mode
         #: Shared durable store directory every worker mounts (warm
         #: tier surviving restarts); None disables it.
@@ -421,9 +409,9 @@ class WorkerPool:
 
     def stats(self) -> list:
         """Per-worker telemetry for the live ``stats`` op: liveness,
-        restart counts, the current generation's cache/store stats and
+        restart counts, the current generation's store stats and
         engine-metrics snapshot, plus the archived telemetry of every
-        dead generation (so per-generation hit rates survive kills)."""
+        dead generation (so per-generation numbers survive kills)."""
         out = []
         for slot in self._slots:
             info = slot.handle.info() if slot.handle is not None else {
@@ -434,7 +422,6 @@ class WorkerPool:
             }
             info.update(
                 restarts=slot.restarts,
-                cache=slot.cache_stats,
                 store=slot.store_stats,
                 metrics=slot.metrics_snapshot,
                 generations=list(slot.archive),
@@ -504,7 +491,6 @@ class WorkerPool:
                 slot.handle = WorkerHandle(
                     slot.index,
                     slot.generation,
-                    self.cache_size,
                     self.default_mode,
                     store_path=self.store_path,
                 )
@@ -513,7 +499,6 @@ class WorkerPool:
                     worker=slot.index,
                     generation=slot.generation,
                 )
-                self._warm_worker(slot)
                 return slot.handle
             except (WorkerDied, OSError):
                 if slot.handle is not None:
@@ -522,29 +507,6 @@ class WorkerPool:
                 slot.consecutive_failures += 1
                 slot.generation += 1
         return None
-
-    def _warm_worker(self, slot: _Slot) -> None:
-        """Inject the slot's last-known fixpoint table into a freshly
-        spawned worker, so a restarted replacement replays the cone
-        math its dead predecessor tabulated instead of starting cold.
-        A worker that dies during warm-up propagates :class:`WorkerDied`
-        to the spawn loop (counted as a failed spawn); a worker that
-        merely rejects the dump (malformed wire) keeps running cold --
-        the dump is best-effort warmth, never load-bearing state."""
-        if slot.fixpoint_wire is None:
-            return
-        ack = slot.handle.request(
-            {"type": "warm", "fixpoint": slot.fixpoint_wire},
-            timeout=SPAWN_TIMEOUT,
-        )
-        injected = ack.get("injected", 0) if ack.get("type") == "warmed" else 0
-        if injected:
-            self._on_event(
-                "serve.workers.warmed",
-                worker=slot.index,
-                generation=slot.generation,
-                injected=injected,
-            )
 
     def _execute(self, slot: _Slot, job: Job) -> None:
         queue_wait = time.monotonic() - job.enqueued_at
@@ -605,7 +567,6 @@ class WorkerPool:
                 worker=slot.index,
                 generation=handle.generation,
                 queue_wait_seconds=round(queue_wait, 6),
-                cache=response.get("cache"),
                 store=response.get("store"),
             )
             return

@@ -2,39 +2,34 @@
 
 ``python -m repro.serve.worker`` speaks the JSON-lines protocol on
 stdin/stdout: the supervisor writes one job request per line, the
-worker answers with one result line, forever.  The point of staying
-alive between jobs is *warm state*: one :class:`EntailmentCache`, one
-unfold memo and one fold identity memo live for the whole process and
-are handed to every :class:`ShapeAnalysis` run, so job N+1 replays
-the entailment verdicts and Figure-6 case analyses job N paid for.
-All three are keyed on canonical forms plus the structural
-``PredicateEnv.cache_token()`` (PR-4/PR-5 machinery), which is what
-makes cross-job reuse sound -- ``python -m repro diff`` and the
-cache-sharing tests in ``tests/test_perf_properties.py`` check it.
+worker answers with one result line, forever.  Each job runs through
+:func:`repro.benchsuite.runner.run_one`, exactly like a batch child,
+with the engine's default per-run memos.  What staying alive buys is
+one :class:`~repro.store.fixpoint.FixpointTable`: the procedure
+summaries (the paper's Section 5.2 tabulation) every successful job
+exports, keyed on callee-cone digests, so an edit-loop job replays
+everything outside its edited cone.
 
 Wire format (one JSON object per line)::
 
     <- {"type": "ready", "pid": 123, "worker": 0, "generation": 1}
     -> {"type": "job", "id": 7, "spec": {...JobSpec...}}
     <- {"type": "result", "id": 7, "record": {...RunRecord...},
-        "cache": {"hits": 41, ...}, "store": {"hits": 3, ...},
-        "fixpoint": {...FixpointTable.to_wire()...},
+        "store": {"hits": 3, ...},
         "metrics": {...obs.snapshot of the session so far...}}
-    -> {"type": "warm", "fixpoint": {...a dead predecessor's table...}}
-    <- {"type": "warmed", "injected": 4, "entries": 4}
     -> {"type": "exit"}
 
 The ``store`` field appears only when the worker was started with
 ``--store PATH``: the durable summary store (:mod:`repro.store`) is
-the warm tier that, unlike the in-process caches, survives worker
-crashes and restarts -- a generation-1 replacement reads the
+the warm tier that, unlike the in-memory fixpoint table, survives
+worker crashes and restarts -- a generation-1 replacement reads the
 summaries its predecessor persisted.
 
-The worker never *raises* out of a job -- ``ShapeAnalysis.run`` is
-exception-contained and the remaining spec handling is guarded into a
-``crashed`` record -- so from the supervisor's point of view a worker
-that stops answering is *dead* (killed, OOM, hung), never merely
-confused.
+The worker never *raises* out of a job -- ``run_one`` turns analysis
+failures into records and guards spec errors (an unknown fault phase,
+an unknown edit target) into a ``crashed`` record -- so from the
+supervisor's point of view a worker that stops answering is *dead*
+(killed, OOM, hung), never merely confused.
 
 Chaos hooks (how the tests and CI make real workers die):
 
@@ -99,122 +94,62 @@ def _env_chaos_job() -> "tuple[str, float, int] | None":
 
 def _build_engine_factory(spec: JobSpec):
     """Turn the spec's ``faults``/``chaos`` chaos instructions into a
-    :class:`ShapeAnalysis` ``engine_factory`` (or None for none)."""
+    :class:`ShapeAnalysis` ``engine_factory`` (or None for none).
+
+    The fault plan is built when the first engine is, inside
+    :func:`~repro.benchsuite.runner.run_one`'s guard: a malformed fault
+    spec (an unknown phase, say) becomes a ``crashed`` record, never a
+    worker death."""
     if not spec.faults and not spec.chaos:
         return None
-    from repro.crucible.faults import FaultPlan, FaultSpec
+    from repro.crucible.faults import FaultPlan, FaultSpec, FaultyShapeEngine
 
-    fault_specs = [
-        FaultSpec(
-            phase=f["phase"],
-            kind=f.get("kind", "failure"),
-            at=f.get("at", 1),
-            procedure=f.get("procedure"),
-        )
-        for f in spec.faults
-    ]
-    if spec.chaos is None:
-        return FaultPlan(specs=fault_specs).engine_factory()
+    plan = None
 
-    kill_phase = spec.chaos.get("phase", "fold")
-    kill_signum = int(spec.chaos.get("signal", 9))
-    kill_at = int(spec.chaos.get("at", 1))
-
-    class _KillPlan(FaultPlan):
-        """A fault plan that additionally kills the whole process at
-        one phase-boundary crossing -- the supervisor, not this
-        process, must turn that into a completed job."""
-
-        def on_boundary(self, engine, phase, procedure):
-            super().on_boundary(engine, phase, procedure)
-            if phase == kill_phase and self.crossings[phase] == kill_at:
-                sys.stdout.flush()
-                os.kill(os.getpid(), kill_signum)
-
-    return _KillPlan(specs=fault_specs).engine_factory()
-
-
-def _analyze(
-    spec: JobSpec,
-    caches: dict,
-    default_mode: str,
-    store=None,
-    metrics=None,
-    fixpoint=None,
-) -> dict:
-    """Run one job against the warm caches; always returns a
-    RunRecord-shaped dict (``ShapeAnalysis.run`` contains analysis
-    failures; this guard contains spec/factory bugs).  *metrics* is
-    the per-job registry the caller merges into its session-cumulative
-    one -- per job so each RunRecord's stats stay per-run, cumulative
-    at the session so the supervisor sees the worker's whole history."""
-    import time
-
-    from repro.analysis import ShapeAnalysis
-    from repro.benchsuite.runner import RunRecord, _resolve_benchmark
-
-    mode = spec.mode or default_mode
-    start = time.perf_counter()
-    try:
-        program = _resolve_benchmark(spec.benchmark)
-        if spec.edit is not None:
-            from repro.crucible.generator import edit_program
-
-            program, _ = edit_program(
-                program,
-                spec.edit["seed"],
-                count=spec.edit.get("count", 1),
-                target=spec.edit.get("target"),
-                kinds=tuple(spec.edit["kinds"])
-                if spec.edit.get("kinds")
-                else None,
+    def make_plan() -> FaultPlan:
+        fault_specs = [
+            FaultSpec(
+                phase=f["phase"],
+                kind=f.get("kind", "failure"),
+                at=f.get("at", 1),
+                procedure=f.get("procedure"),
             )
-        result = ShapeAnalysis(
-            program,
-            name=spec.benchmark,
-            mode=mode,
-            deadline_seconds=spec.deadline,
-            max_unroll=spec.unroll,
-            state_budget=spec.state_budget,
-            trace_path=spec.trace,
-            cache=caches["entailment"],
-            unfold_cache=caches["unfold"],
-            fold_cache=caches["fold"],
-            store=store,
-            metrics=metrics,
-            fixpoint_table=fixpoint,
-            engine_factory=_build_engine_factory(spec),
-        ).run()
-    except Exception as exc:
-        return RunRecord(
-            name=spec.benchmark,
-            outcome="crashed",
-            seconds=time.perf_counter() - start,
-            mode=mode,
-            error=f"{type(exc).__name__}: {exc}",
-            trace=spec.trace,
-        ).to_dict()
-    record = result.to_record()
-    return RunRecord(
-        name=spec.benchmark,
-        outcome=result.outcome,
-        seconds=time.perf_counter() - start,
-        mode=mode,
-        error=result.failure,
-        diagnostics=record["diagnostics"],
-        result=record,
-        trace=spec.trace,
-    ).to_dict()
+            for f in spec.faults
+        ]
+        if spec.chaos is None:
+            return FaultPlan(specs=fault_specs)
+
+        kill_phase = spec.chaos.get("phase", "fold")
+        kill_signum = int(spec.chaos.get("signal", 9))
+        kill_at = int(spec.chaos.get("at", 1))
+
+        class _KillPlan(FaultPlan):
+            """A fault plan that additionally kills the whole process at
+            one phase-boundary crossing -- the supervisor, not this
+            process, must turn that into a completed job."""
+
+            def on_boundary(self, engine, phase, procedure):
+                super().on_boundary(engine, phase, procedure)
+                if phase == kill_phase and self.crossings[phase] == kill_at:
+                    sys.stdout.flush()
+                    os.kill(os.getpid(), kill_signum)
+
+        return _KillPlan(specs=fault_specs)
+
+    def factory(*args, **kwargs):
+        nonlocal plan
+        if plan is None:
+            plan = make_plan()
+        return FaultyShapeEngine(*args, fault_plan=plan, **kwargs)
+
+    return factory
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    """The worker loop.  ``--cache-size N`` bounds each warm cache."""
+    """The worker loop."""
     import argparse
 
-    from repro.perf import EntailmentCache, IdentityMemo
-
     parser = argparse.ArgumentParser(prog="repro.serve.worker")
-    parser.add_argument("--cache-size", type=int, default=65536)
     parser.add_argument(
         "--mode",
         choices=("strict", "degrade"),
@@ -232,20 +167,14 @@ def main(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
 
     from repro import obs
-
+    from repro.benchsuite.runner import run_one
     from repro.store.fixpoint import FixpointTable
 
-    caches = {
-        "entailment": EntailmentCache(args.cache_size),
-        "unfold": EntailmentCache(args.cache_size),
-        "fold": IdentityMemo(args.cache_size),
-    }
     #: In-memory fixpoint tier: every successful run exports its
     #: tabulated summary tables here (cone-digest-keyed, so edit-loop
     #: jobs replay everything outside the edited cone without touching
-    #: disk), every result line ships its wire dump to the supervisor,
-    #: and a ``warm`` message from the supervisor injects a dead
-    #: predecessor's table into this one.
+    #: disk).  It dies with the process; the durable store is the tier
+    #: that survives a crash.
     fixpoint = FixpointTable()
     #: Session-cumulative engine metrics: every job's registry merges
     #: in here, and a snapshot rides on every result line so the
@@ -279,31 +208,6 @@ def main(argv: "list[str] | None" = None) -> int:
             continue
         if message is None or message.get("type") == "exit":
             return 0
-        if message.get("type") == "warm":
-            # Fixpoint warm-up: the supervisor re-injects the last
-            # table a dead generation of this slot shipped.  The wire
-            # dump earns no trust -- malformed input is contained to a
-            # zero-injection ack, and consumption re-validates every
-            # payload exactly like bytes from disk.
-            try:
-                injected = fixpoint.merge_wire(message.get("fixpoint"))
-            except (ValueError, TypeError) as exc:
-                write_message(
-                    out,
-                    {"type": "warmed", "injected": 0, "error": str(exc)},
-                )
-                continue
-            if injected:
-                session_metrics.inc("incr.tables.injected")
-            write_message(
-                out,
-                {
-                    "type": "warmed",
-                    "injected": injected,
-                    "entries": len(fixpoint),
-                },
-            )
-            continue
         if message.get("type") != "job":
             write_message(
                 out,
@@ -335,32 +239,32 @@ def main(argv: "list[str] | None" = None) -> int:
                 },
             )
             continue
+        # Per-job registry so each RunRecord's stats stay per-run;
+        # merged into the session registry so the supervisor sees the
+        # worker's whole history.
         job_metrics = obs.Metrics()
-        record = _analyze(
-            spec,
-            caches,
-            args.mode,
+        record = run_one(
+            spec.benchmark,
+            mode=spec.mode or args.mode,
+            deadline=spec.deadline,
+            unroll=spec.unroll,
+            state_budget=spec.state_budget,
+            trace_path=spec.trace,
+            edit=spec.edit,
             store=store,
             metrics=job_metrics,
-            fixpoint=fixpoint,
+            fixpoint_table=fixpoint,
+            engine_factory=_build_engine_factory(spec),
         )
         session_metrics.merge(job_metrics)
         response = {
             "type": "result",
             "id": message.get("id"),
-            "record": record,
-            "cache": caches["entailment"].stats(),
+            "record": record.to_dict(),
             "metrics": obs.snapshot(session_metrics),
         }
         if store is not None:
             response["store"] = store.stats()
-        if len(fixpoint):
-            # Ship the warm tier with every result: the supervisor
-            # keeps only the latest dump per slot, and on a restart
-            # injects it into the replacement -- the fixpoint analogue
-            # of the durable store's crash-surviving warmth, without
-            # needing a disk.
-            response["fixpoint"] = fixpoint.to_wire()
         write_message(out, response)
 
 

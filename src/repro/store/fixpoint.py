@@ -18,10 +18,9 @@ so the store grows a second object kind:
   check for check.
 
 The module also provides :class:`FixpointTable`, an in-memory tier
-holding the same payloads under the same keys.  It is JSON-wireable
-(predicate blobs are themselves canonical JSON), which is how a serve
-worker ships its table to the supervisor and a restarted successor
-gets it injected back.
+holding the same payloads under the same keys: a serve worker keeps
+one for its whole life, and perfbench's edit loop shares one across
+its runs.
 """
 
 from __future__ import annotations
@@ -109,9 +108,8 @@ def merge_fixpoint_payloads(new: dict, old) -> dict:
 class FixpointTable:
     """In-memory fixpoint tier: ``key -> payload`` plus the predicate
     blobs the payloads reference.  Same keys, same payload shapes, same
-    validation-on-read as the durable tier -- a table received over a
-    pipe from a dead worker's generation earns exactly as little trust
-    as bytes from disk."""
+    validation-on-read as the durable tier: a payload in the table
+    earns exactly as little trust as bytes from disk."""
 
     def __init__(self) -> None:
         self.payloads: dict[str, dict] = {}
@@ -150,42 +148,3 @@ class FixpointTable:
             "hits": self.hits,
             "misses": self.misses,
         }
-
-    # -- wire format (supervisor warm-injection) -----------------------
-    def to_wire(self) -> dict:
-        return {
-            "payloads": dict(self.payloads),
-            "blobs": {
-                digest: blob.decode("utf-8")
-                for digest, blob in self.blobs.items()
-            },
-        }
-
-    @classmethod
-    def from_wire(cls, wire) -> "FixpointTable":
-        """Rebuild a table from :meth:`to_wire` output.  Malformed input
-        raises ``ValueError`` (callers contain it); individual payloads
-        are *not* deep-checked here -- consumption re-validates."""
-        table = cls()
-        if not isinstance(wire, dict):
-            raise ValueError("fixpoint wire format is not an object")
-        payloads = wire.get("payloads", {})
-        blobs = wire.get("blobs", {})
-        if not isinstance(payloads, dict) or not isinstance(blobs, dict):
-            raise ValueError("malformed fixpoint wire tables")
-        for key, payload in payloads.items():
-            if isinstance(key, str) and isinstance(payload, dict):
-                table.payloads[key] = payload
-        for digest, text in blobs.items():
-            if isinstance(digest, str) and isinstance(text, str):
-                table.blobs[digest] = text.encode("utf-8")
-        return table
-
-    def merge_wire(self, wire) -> int:
-        """Merge another table's wire dump into this one; returns the
-        number of payload keys added or replaced."""
-        other = FixpointTable.from_wire(wire)
-        for key, payload in other.payloads.items():
-            self.put(key, payload, {})
-        self.blobs.update(other.blobs)
-        return len(other.payloads)

@@ -4,6 +4,8 @@ and the differential gate itself (including the historical
 cross-program replay-contamination seed).
 """
 
+import copy
+
 import pytest
 
 from repro.analysis import ShapeAnalysis
@@ -103,8 +105,7 @@ class TestReplayParity:
         table = FixpointTable()
         _analyze(base, "treeadd", fixpoint=table)
 
-        wire = table.to_wire()
-        payloads = wire["payloads"]
+        payloads = copy.deepcopy(table.payloads)
         swappable = [
             key
             for key, payload in payloads.items()
@@ -117,7 +118,8 @@ class TestReplayParity:
         sub_a["entry"], sub_b["entry"] = sub_b["entry"], sub_a["entry"]
 
         poisoned = FixpointTable()
-        poisoned.merge_wire(wire)
+        poisoned.payloads = payloads
+        poisoned.blobs = dict(table.blobs)
         scratch = _analyze(base, "treeadd")
         replayed = _analyze(base, "treeadd", fixpoint=poisoned)
         assert core_verdict(scratch) == core_verdict(replayed)

@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+import pytest
+
 from repro.reporting import indent_block, render_header, render_table
 from repro.__main__ import main as cli_main
 
@@ -109,3 +111,26 @@ class TestCLI:
             [self._write(tmp_path, "list.ir", LIST_IR), "--unroll", "3"]
         )
         assert code == 0
+
+    @pytest.mark.parametrize("prefix", [[], ["serve"]], ids=["analyze", "serve"])
+    def test_no_store_flag_is_gone(self, tmp_path, capsys, monkeypatch, prefix):
+        """``--store PATH`` is the one way to name a store."""
+
+        def no_daemon(*args, **kwargs):
+            raise AssertionError("repro serve accepted --no-store")
+
+        monkeypatch.setattr("repro.serve.server.AnalysisServer", no_daemon)
+        argv = prefix or [self._write(tmp_path, "list.ir", LIST_IR)]
+        with pytest.raises(SystemExit) as info:
+            cli_main(argv + ["--no-store"])
+        assert info.value.code == 2
+
+    def test_store_environment_variable_opens_no_store(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        store_dir = tmp_path / "store"
+        monkeypatch.setenv("REPRO_STORE", str(store_dir))
+        code = cli_main([self._write(tmp_path, "list.ir", LIST_IR)])
+        assert code == 0
+        assert "store:" not in capsys.readouterr().out
+        assert not store_dir.exists()

@@ -144,22 +144,89 @@ def _wait(job: Job, timeout: float = 120.0) -> dict:
     return job.record
 
 
+def _strip_timing(value):
+    """*value* without the wall-clock fields: every dict key that
+    names seconds (record and phase columns, the budget's elapsed
+    time, timing gauges and histograms), at any depth."""
+    if isinstance(value, dict):
+        return {
+            key: _strip_timing(item)
+            for key, item in value.items()
+            if "seconds" not in key
+        }
+    if isinstance(value, list):
+        return [_strip_timing(item) for item in value]
+    return value
+
+
 class TestWorkerPool:
-    def test_jobs_complete_and_caches_warm_within_a_worker(self):
+    def test_jobs_complete_within_one_worker(self):
         pool = WorkerPool(workers=1, capacity=8)
         try:
-            first = _wait(pool.submit(JobSpec(benchmark="list-build")))
-            assert first["outcome"] == "pass"
+            first_job = pool.submit(JobSpec(benchmark="list-build"))
+            assert _wait(first_job)["outcome"] == "pass"
             second_job = pool.submit(JobSpec(benchmark="list-build"))
-            second = _wait(second_job)
-            assert second["outcome"] == "pass"
-            # Same persistent worker, same benchmark: the entailment
-            # cache answers from job one's work.
-            assert second_job.serve_info["cache"]["hits"] > 0
+            assert _wait(second_job)["outcome"] == "pass"
+            # One persistent worker served both jobs.
+            assert second_job.serve_info["generation"] == 0
+            assert second_job.serve_info["worker"] == 0
         finally:
             pool.stop()
 
-    def test_kill_midjob_is_retried_and_worker_rewarms(self, monkeypatch):
+    def test_served_record_matches_run_one(self):
+        """The worker's job path is ``run_one``: a worker's first
+        served record equals an in-process ``run_one`` with a fresh
+        fixpoint table (what the worker attaches) apart from timing."""
+        from repro.benchsuite.runner import run_one
+        from repro.store.fixpoint import FixpointTable
+
+        pool = WorkerPool(workers=1, capacity=8, default_mode="strict")
+        try:
+            served = _wait(pool.submit(JobSpec(benchmark="list-build")))
+        finally:
+            pool.stop()
+        local = run_one(
+            "list-build", mode="strict", fixpoint_table=FixpointTable()
+        ).to_dict()
+        assert served["outcome"] == "pass"
+        assert _strip_timing(served) == _strip_timing(local)
+
+    def test_spec_errors_are_crashed_records_not_worker_deaths(self):
+        """A bad fault phase and an unknown edit target are spec
+        errors: each job resolves to a ``crashed`` record carrying the
+        ``ValueError`` text, and the same generation-0 process keeps
+        serving."""
+        pool = WorkerPool(workers=1, capacity=8)
+        try:
+            bad_phase = pool.submit(
+                JobSpec(
+                    benchmark="list-build",
+                    faults=[{"phase": "no-such-phase", "kind": "error"}],
+                )
+            )
+            bad_target = pool.submit(
+                JobSpec(
+                    benchmark="list-build",
+                    edit={"seed": 1, "target": "no-such-proc"},
+                )
+            )
+            pids = set()
+            for job in (bad_phase, bad_target):
+                record = _wait(job)
+                assert record["outcome"] == "crashed"
+                assert record["error"].startswith("ValueError: ")
+                assert job.serve_info["generation"] == 0
+                assert job.serve_info["attempts"] == 1
+                pids.add(pool.worker_info()[0]["pid"])
+            clean = pool.submit(JobSpec(benchmark="list-build"))
+            assert _wait(clean)["outcome"] == "pass"
+            assert clean.serve_info["generation"] == 0
+            pids.add(pool.worker_info()[0]["pid"])
+            assert len(pids) == 1
+        finally:
+            pool.stop()
+
+    def test_kill_midjob_is_retried_on_the_replacement(self, monkeypatch):
         events = []
         monkeypatch.setenv(CHAOS_ENV, "0:kill:9@2")
         pool = WorkerPool(
@@ -183,10 +250,10 @@ class TestWorkerPool:
             assert "serve.jobs.retried" in names
             restart = dict(events[names.index("serve.workers.restarts")][1])
             assert restart["signal"] == "SIGKILL"
-            # The replacement re-warms: same benchmark hits its cache.
+            # The replacement keeps serving.
             follow = pool.submit(JobSpec(benchmark="list-build"))
             assert _wait(follow)["outcome"] == "pass"
-            assert follow.serve_info["cache"]["hits"] > 0
+            assert follow.serve_info["generation"] == 1
         finally:
             pool.stop()
 
@@ -257,6 +324,32 @@ class TestWorkerPool:
             pool.stop()
 
 
+class TestWorkerHandle:
+    def test_failed_handshake_kills_and_reaps_the_child(self, monkeypatch):
+        """A worker that misses its ready deadline never reaches a
+        slot, so the handle itself must kill and reap the child."""
+        import subprocess
+
+        from repro.serve import supervisor
+        from repro.serve.supervisor import WorkerDied, WorkerHandle
+
+        spawned = []
+        real_popen = subprocess.Popen
+
+        def recording_popen(*args, **kwargs):
+            proc = real_popen(*args, **kwargs)
+            spawned.append(proc)
+            return proc
+
+        monkeypatch.setattr(supervisor.subprocess, "Popen", recording_popen)
+        monkeypatch.setattr(supervisor, "SPAWN_TIMEOUT", 0)
+        with pytest.raises(WorkerDied) as info:
+            WorkerHandle(0, 0, "degrade")
+        assert info.value.kind == "hang"
+        (proc,) = spawned
+        assert proc.poll() is not None
+
+
 class TestDeadlineBetweenPhases:
     """Budget deadline expiry *between* engine phases: the worker must
     return a clean budget-exhausted diagnostic and stay reusable."""
@@ -290,7 +383,7 @@ class TestDeadlineBetweenPhases:
                 assert job.serve_info["attempts"] == 1, phase
                 assert job.serve_info["generation"] == 0, phase
             assert "serve.workers.restarts" not in events
-            # The same worker process is still serving, warm.
+            # The same worker process is still serving.
             clean = pool.submit(JobSpec(benchmark="treeadd"))
             assert _wait(clean)["outcome"] == "pass"
             assert clean.serve_info["generation"] == 0
@@ -364,18 +457,17 @@ class TestDaemon:
 
 
 class TestOverloadResponse:
-    def test_full_queue_answers_overloaded_with_retry_after(self, tmp_path):
+    def test_full_queue_answers_overloaded_with_retry_after(
+        self, tmp_path, monkeypatch
+    ):
         # No pool thread ever drains this server's queue fast enough:
-        # one worker stalled 3s by chaos, capacity 1.
-        import os
-
-        os.environ[CHAOS_ENV] = "0:sleep:3@1"
-        try:
-            server = AnalysisServer(
-                socket_path=str(tmp_path / "s.sock"), workers=1, capacity=1
-            )
-        finally:
-            del os.environ[CHAOS_ENV]
+        # one worker stalled 3s by chaos, capacity 1.  The pool spawns
+        # its worker on the first job, so the chaos variable must stay
+        # set until then.
+        monkeypatch.setenv(CHAOS_ENV, "0:sleep:3@1")
+        server = AnalysisServer(
+            socket_path=str(tmp_path / "s.sock"), workers=1, capacity=1
+        )
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
