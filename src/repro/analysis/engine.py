@@ -38,6 +38,7 @@ from typing import Callable
 from repro import obs, perf
 from repro.ir.program import Program
 from repro.logic import lemmas
+from repro.logic.entailment import activate_deadline
 from repro.logic.predicates import PredicateEnv
 from repro.obs import Metrics, NULL_TRACER, Tracer
 from repro.prepass.rectypes import recursive_types
@@ -228,7 +229,8 @@ class ShapeAnalysis:
                 **extra,
             )
             try:
-                exit_states = engine.analyze()
+                with activate_deadline(budget.check_deadline):
+                    exit_states = engine.analyze()
             except Exception as exc:
                 # An AnalysisFailure is the paper's halt-and-report; any
                 # other exception is an engine bug, which must not crash

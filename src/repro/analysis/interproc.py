@@ -971,11 +971,17 @@ class ShapeEngine:
         # with recursive calls answered by the hypothesized contracts.
         # An exit the hypothesis missed (e.g. a base case the sample
         # path only saw under a different entry shape) *widens* the
-        # contract, and verification restarts -- a bounded Kleene
-        # iteration on the exit sets; failure to stabilize means the
-        # synthesized invariants do not derive themselves.
+        # contract, and verification restarts -- a Kleene iteration on
+        # the exit sets, bounded by the disjunct cap a loop header also
+        # obeys: together the SCC's contracts hold at most
+        # ``max_invariants_per_header`` exits.  Every contract starts
+        # with an exit and every unstable round appends one, so the cap
+        # also bounds the rounds.  Exceeding it means the synthesized
+        # invariants do not derive themselves.
+        disjuncts = sum(len(c.exits) for p in visited for c in contracts[p])
         verify_rounds = 0
-        for _round in range(8):
+        stable = False
+        while not stable:
             verify_rounds += 1
             self.metrics.inc("engine.recursion.verify_rounds")
             stable = True
@@ -987,23 +993,25 @@ class ShapeEngine:
                     )
                     for exit_state in verify_exits:
                         self.budget.check_deadline("tabulation")
-                        if not any_subsumes(
+                        if any_subsumes(
                             contract.exits, exit_state, env=self.env
                         ):
-                            contract.exits.append(exit_state)
-                            stable = False
-            if stable:
-                break
-        else:
-            if span is not None:
-                span["verified"] = False
-                span["verify_rounds"] = verify_rounds
-            raise AnalysisFailure(
-                f"exit states of {name}'s recursion do not stabilize; "
-                f"the synthesized exit invariants do not derive themselves",
-                code=SUMMARY_FAILURE,
-                procedure=name,
-            )
+                            continue
+                        if disjuncts >= self.max_invariants_per_header:
+                            if span is not None:
+                                span["verified"] = False
+                                span["verify_rounds"] = verify_rounds
+                            raise AnalysisFailure(
+                                f"exit states of {name}'s recursion exceed "
+                                f"{self.max_invariants_per_header} "
+                                f"disjuncts; the synthesized exit "
+                                f"invariants do not derive themselves",
+                                code=SUMMARY_FAILURE,
+                                procedure=name,
+                            )
+                        contract.exits.append(exit_state)
+                        disjuncts += 1
+                        stable = False
         self.phase_boundary("tabulation", name)
         if span is not None:
             span["verified"] = True

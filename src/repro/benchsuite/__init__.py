@@ -7,6 +7,8 @@ drives the whole suite through a crash-isolating batch runner with
 per-run timeouts and structured pass/degraded/failed/crashed reports.
 """
 
+from typing import Callable
+
 from repro.benchsuite import (
     bisort,
     csources,
@@ -32,23 +34,29 @@ __all__ = [
     "mcf",
     "perimeter",
     "power",
+    "table4_builders",
     "treeadd",
 ]
 
 
-def TABLE4_PROGRAMS() -> dict[str, Program]:
-    """Fresh copies of the five Table 4 benchmark programs."""
+def table4_builders() -> dict[str, Callable[[], Program]]:
+    """Name -> builder of each Table 4 benchmark program."""
     return {
-        "181.mcf": mcf.full_program(),
-        "treeadd": treeadd.program(),
-        "bisort": bisort.program(),
-        "perimeter": perimeter.program(),
-        "power": power.program(),
+        "181.mcf": mcf.full_program,
+        "treeadd": treeadd.program,
+        "bisort": bisort.program,
+        "perimeter": perimeter.program,
+        "power": power.program,
     }
 
 
+def TABLE4_PROGRAMS() -> dict[str, Program]:
+    """Fresh copies of the five Table 4 benchmark programs."""
+    return {name: build() for name, build in table4_builders().items()}
+
+
 def __getattr__(name: str):
-    # Lazy: runner imports TABLE4_PROGRAMS from this module.
+    # Lazy: runner imports table4_builders from this module.
     if name == "runner":
         from repro.benchsuite import runner
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.analysis import ShapeAnalysis
-from repro.benchsuite import TABLE4_PROGRAMS, entailstress, lemmaprogs, listprogs
+from repro.benchsuite import entailstress, lemmaprogs, listprogs, table4_builders
 from repro.childproc import (
     CHILD_CHAOS_ENV,
     apply_child_chaos,
@@ -91,9 +91,7 @@ EDIT_PREFIX = "edit:"
 def benchmark_factories() -> dict[str, "callable[[], Program]"]:
     """Name -> fresh-program factory for every batch-runnable workload:
     the Table 4 suite plus the list staples."""
-    factories: dict[str, "callable[[], Program]"] = {
-        name: (lambda n=name: TABLE4_PROGRAMS()[n]) for name in TABLE4_PROGRAMS()
-    }
+    factories = table4_builders()
     factories.update(
         {
             "list-build": listprogs.build_program,

@@ -25,6 +25,7 @@ for procedure-summary reuse.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro import obs, perf
@@ -53,6 +54,7 @@ __all__ = [
     "equivalent",
     "Mapping",
     "MATCH_STEP_LIMIT",
+    "activate_deadline",
     "structural_signature",
     "signatures_compatible",
 ]
@@ -108,18 +110,54 @@ def signatures_compatible(general: tuple, concrete: tuple) -> bool:
 #: thousand steps.
 MATCH_STEP_LIMIT = 100_000
 
+#: A query that uses its whole step limit takes ~0.4 s, far past a
+#: tight run deadline, so the match budget polls the run's deadline
+#: every this many steps.
+DEADLINE_POLL_STEPS = 1024
+
+#: The active run's deadline poll (raises ``BudgetExhausted`` once the
+#: deadline has passed), or None outside :func:`activate_deadline`.
+#: Module-level for the same reason as ``lemmas.ACTIVE``.
+DEADLINE_POLL = None
+
+
+@contextmanager
+def activate_deadline(poll):
+    """Install *poll* as the deadline poll of every query started in
+    the block (restored on exit, exception or not).  Its exception
+    propagates out of :func:`subsumes`: an expired deadline is never
+    answered as "not subsumed"."""
+    global DEADLINE_POLL
+    saved = DEADLINE_POLL
+    DEADLINE_POLL = poll
+    try:
+        yield
+    finally:
+        DEADLINE_POLL = saved
+
 
 class _MatchBudget:
-    __slots__ = ("steps", "limit")
+    __slots__ = ("steps", "limit", "poll", "check_at")
 
     def __init__(self, limit: int):
         self.steps = 0
         self.limit = limit
+        self.poll = DEADLINE_POLL
+        #: the next step that must look at the limit or the clock; the
+        #: common step pays one comparison
+        self.check_at = min(limit + 1, DEADLINE_POLL_STEPS)
 
     def charge(self) -> None:
         self.steps += 1
+        if self.steps >= self.check_at:
+            self._check()
+
+    def _check(self) -> None:
         if self.steps > self.limit:
             raise _MatchBudgetExceeded
+        if self.poll is not None:
+            self.poll()
+        self.check_at = min(self.limit + 1, self.steps + DEADLINE_POLL_STEPS)
 
 
 class _MatchBudgetExceeded(Exception):

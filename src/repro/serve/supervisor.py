@@ -362,6 +362,7 @@ class WorkerPool:
         self._id_lock = threading.Lock()
         self._stopping = False
         self._slots = [_Slot(i) for i in range(workers)]
+        self._spawned = threading.Semaphore(0)
         self._threads = [
             threading.Thread(
                 target=self._worker_loop,
@@ -373,6 +374,12 @@ class WorkerPool:
         ]
         for thread in self._threads:
             thread.start()
+        # Each slot spawns its worker before it first waits for a job,
+        # all in parallel; the pool is ready once every slot has tried,
+        # so neither a job nor a just-started server's first client
+        # waits for interpreter start and imports.
+        for _ in self._slots:
+            self._spawned.acquire()
 
     # ------------------------------------------------------------------
     def submit(self, spec: JobSpec, degraded: bool = False) -> Job:
@@ -460,6 +467,10 @@ class WorkerPool:
 
     # ------------------------------------------------------------------
     def _worker_loop(self, slot: _Slot) -> None:
+        try:
+            self._ensure_worker(slot)  # a failed spawn is retried per job
+        finally:
+            self._spawned.release()
         while True:
             job = self._queue.get()
             if job is _STOP or self._stopping:

@@ -19,7 +19,9 @@ Invariants:
   directory is fsynced after the rename where the platform allows.
   A crash leaves either no object or a complete one -- never a file
   that exists under its final name with partial contents (a torn temp
-  file that does get renamed is caught by the checksum).
+  file that does get renamed is caught by the checksum).  Temp files
+  carry their writer's pid; ``open`` sweeps only those of dead
+  writers, since a live one may be mid-write.
 * **The index tolerates torn tails.**  Readers parse complete JSON
   lines and skip anything malformed (counted in ``torn_lines``);
   writers terminate an unterminated tail with a newline before
@@ -71,7 +73,9 @@ class DiskStore:
 
     def open(self, schema: int) -> None:
         """Create the layout (idempotent), verify the schema marker,
-        sweep orphaned temp files, and load the index."""
+        sweep orphaned temp files, and load the index.  A temp file is
+        an orphan only when the process named in it has died: another
+        process opening the same store may be mid-write."""
         self.objects_dir.mkdir(parents=True, exist_ok=True)
         if self.schema_path.exists():
             text = self.schema_path.read_text().strip()
@@ -83,6 +87,8 @@ class DiskStore:
             self._write_file(self.schema_path, f"{schema}\n".encode())
         for directory in (self.objects_dir, self.root):
             for orphan in directory.glob("tmp-*"):
+                if _writer_alive(orphan.name):
+                    continue
                 try:
                     orphan.unlink()
                 except OSError:
@@ -277,6 +283,25 @@ class DiskStore:
 
     def _writer_lock(self):
         return _FlockGuard(self.lock_path)
+
+
+def _writer_alive(tmp_name: str) -> bool:
+    """Whether another live process wrote the temp file *tmp_name*
+    (``tmp-<pid>-...``).  This process has no write in flight while it
+    opens the store, so its own leftovers count as orphans."""
+    try:
+        pid = int(tmp_name.split("-")[1])
+    except (IndexError, ValueError):
+        return False
+    if pid == os.getpid():
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        return True
+    return True
 
 
 class _FlockGuard:

@@ -44,6 +44,30 @@ class TestRunOne:
         assert clone.outcome == record.outcome
         assert clone.result == record.result
 
+    def test_resolving_a_name_builds_only_that_program(self, monkeypatch):
+        from repro.benchsuite import bisort, mcf, perimeter, power, treeadd
+        from repro.benchsuite.runner import _resolve_benchmark
+
+        built = []
+        for module, attr in (
+            (mcf, "full_program"),
+            (treeadd, "program"),
+            (bisort, "program"),
+            (perimeter, "program"),
+            (power, "program"),
+        ):
+            real = getattr(module, attr)
+
+            def counting(real=real, module=module):
+                built.append(module.__name__)
+                return real()
+
+            monkeypatch.setattr(module, attr, counting)
+        _resolve_benchmark("list-build")
+        assert built == []
+        _resolve_benchmark("treeadd")
+        assert built == [treeadd.__name__]
+
 
 class TestBatchInProcess:
     def test_counts_and_ok(self):

@@ -1,9 +1,16 @@
 """Tests for the sample-path protocol of §5.2.1: branch steering,
-depth quotas, contract grouping and verification widening."""
+depth quotas, contract grouping, verification widening and its
+disjunct cap."""
+
+import pytest
 
 from repro.analysis import ShapeAnalysis
 from repro.analysis.interproc import ShapeEngine, _Sampler
+from repro.analysis.resilience import BUDGET_EXHAUSTED, SUMMARY_FAILURE
+from repro.benchsuite.runner import run_one
 from repro.ir import parse_program
+from repro.logic import AbstractState, Raw, Var
+from repro.obs.metrics import Metrics
 
 
 class TestSamplerPolicy:
@@ -198,3 +205,93 @@ proc main():
             s.spatial.pred_instances() or s.spatial.points_to_atoms()
             for s in result.exit_states
         )
+
+
+class _WideningEngine(ShapeEngine):
+    """Verification of ``build`` returns one more exit each call, each
+    with a fresh number of raw cells, so no exit is ever subsumed and
+    the contracts never stabilize."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.widened = 0
+        self.verified_contracts = None
+
+    def interpret(self, name, entry, cutpoints, sampler, contracts):
+        exits = super().interpret(name, entry, cutpoints, sampler, contracts)
+        if name == "build" and sampler is None and contracts:
+            self.verified_contracts = contracts["build"]
+            self.widened += 1
+            fresh = AbstractState()
+            for j in range(self.widened):
+                fresh.spatial.add(Raw(Var(f"w{j}")))
+            exits.append(fresh)
+        return exits
+
+
+class TestVerificationDisjunctCap:
+    SRC = """
+proc build(%n):
+    if %n > 0 goto rec
+    return null
+rec:
+    %m = sub %n, 1
+    %rest = call build(%m)
+    %p = malloc()
+    [%p.next] = %rest
+    return %p
+
+proc main():
+    %h = call build(6)
+    return %h
+"""
+
+    @pytest.mark.parametrize("cap", [8, 3])
+    def test_widening_recursion_halts_past_the_cap(self, cap):
+        engines = []
+
+        def factory(*args, **kwargs):
+            engines.append(
+                _WideningEngine(*args, max_invariants_per_header=cap, **kwargs)
+            )
+            return engines[-1]
+
+        metrics = Metrics()
+        result = ShapeAnalysis(
+            parse_program(self.SRC),
+            mode="strict",
+            metrics=metrics,
+            engine_factory=factory,
+        ).run()
+        assert result.outcome == "failed"
+        (diagnostic,) = result.diagnostics
+        assert diagnostic.code == SUMMARY_FAILURE
+        assert diagnostic.procedure == "build"
+        assert f"exceed {cap} disjuncts" in diagnostic.message
+        # The halt comes as the (cap+1)-th disjunct would be appended.
+        (engine,) = engines
+        assert sum(len(c.exits) for c in engine.verified_contracts) == cap
+        assert metrics.counter("engine.recursion.verify_rounds") < 9
+
+
+class TestDivergingEdits:
+    """Three edits whose recursion's exit disjunction keeps widening:
+    the cap decides them well inside a 5 s deadline."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "edit:bisort@1007857332",
+            "edit:perimeter@69705451",
+            "edit:perimeter@359639757",
+        ],
+    )
+    @pytest.mark.parametrize(
+        "mode,outcome", [("degrade", "degraded"), ("strict", "failed")]
+    )
+    def test_halts_with_summary_failure(self, name, mode, outcome):
+        record = run_one(name, mode=mode, deadline=5.0)
+        assert record.outcome == outcome
+        codes = {d["code"] for d in record.diagnostics}
+        assert SUMMARY_FAILURE in codes
+        assert BUDGET_EXHAUSTED not in codes

@@ -1,8 +1,12 @@
 """Tests for state subsumption (the partial order of §2.1) and
 predicate implication."""
 
+import time
+
+import pytest
 from conftest import fp
 
+from repro.analysis.resilience import BUDGET_EXHAUSTED, Budget, BudgetExhausted
 from repro.ir import Register
 from repro.logic import (
     LIST_DEF,
@@ -23,6 +27,7 @@ from repro.logic import (
     equivalent,
     subsumes,
 )
+from repro.logic.entailment import DEADLINE_POLL_STEPS, activate_deadline
 from repro.logic.implication import pred_implies
 
 
@@ -225,3 +230,28 @@ class TestMatchBudget:
         # Sanity: below the one-direction cost the query conservatively
         # answers False, so the assertion above is actually tight.
         assert not equivalent(a, b, step_limit=needed - 1)
+
+    def test_expired_deadline_surfaces_as_budget_exhausted(self):
+        # A register pins the last general cell onto the first concrete
+        # one, so the search backtracks through the permutations that
+        # map a0 -> b0 first: more than one poll interval of steps.
+        k = 8
+        general = _state(
+            {"x": Var(f"a{k - 1}")}, [Raw(Var(f"a{i}")) for i in range(k)]
+        )
+        concrete = _state(
+            {"x": Var("b0")}, [Raw(Var(f"b{i}")) for i in range(k)]
+        )
+        assert subsumes(general, concrete) is not None
+        assert subsumes(
+            general, concrete, step_limit=DEADLINE_POLL_STEPS
+        ) is None
+        budget = Budget(deadline_seconds=0.0)
+        budget.start()
+        time.sleep(0.001)
+        with activate_deadline(budget.check_deadline):
+            with pytest.raises(BudgetExhausted) as info:
+                subsumes(general, concrete)
+        assert info.value.code == BUDGET_EXHAUSTED
+        # Outside the block no poll is installed.
+        assert subsumes(general, concrete) is not None

@@ -160,6 +160,18 @@ def _strip_timing(value):
 
 
 class TestWorkerPool:
+    def test_workers_start_with_the_pool(self):
+        """Every slot spawns its worker before it waits for a job, so
+        no job pays for interpreter start and imports."""
+        pool = WorkerPool(workers=2, capacity=8)
+        try:
+            infos = pool.worker_info()
+            assert [info["alive"] for info in infos] == [True, True]
+            assert all(info["pid"] for info in infos)
+            assert pool.queue_depth == 0
+        finally:
+            pool.stop()
+
     def test_jobs_complete_within_one_worker(self):
         pool = WorkerPool(workers=1, capacity=8)
         try:
@@ -461,9 +473,7 @@ class TestOverloadResponse:
         self, tmp_path, monkeypatch
     ):
         # No pool thread ever drains this server's queue fast enough:
-        # one worker stalled 3s by chaos, capacity 1.  The pool spawns
-        # its worker on the first job, so the chaos variable must stay
-        # set until then.
+        # one worker stalled 3s by chaos, capacity 1.
         monkeypatch.setenv(CHAOS_ENV, "0:sleep:3@1")
         server = AnalysisServer(
             socket_path=str(tmp_path / "s.sock"), workers=1, capacity=1
@@ -485,13 +495,13 @@ class TestOverloadResponse:
             )
             stalled.start()
             # Wait until the stalled job was pulled off the queue: the
-            # worker spawn only happens after the dequeue, so spawned
-            # >= 1 with an empty queue means the dispatcher is now
-            # occupied for the ~3s chaos sleep.
+            # pool never calls ``task_done``, so one unfinished task
+            # with an empty queue means the dispatcher is now occupied
+            # for the ~3s chaos sleep.
+            pool_queue = server.pool._queue
             deadline = time.monotonic() + 30.0
             while time.monotonic() < deadline and not (
-                server.metrics.counter("serve.workers.spawned") >= 1
-                and server.pool.queue_depth == 0
+                pool_queue.unfinished_tasks >= 1 and pool_queue.qsize() == 0
             ):
                 time.sleep(0.01)
             queued = threading.Thread(

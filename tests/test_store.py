@@ -5,6 +5,8 @@ injection, I/O containment, and cold/warm verdict parity.
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -42,6 +44,13 @@ def _run(name="list-build", store=None, mode="degrade", unroll=2,
         program, name=name, mode=mode, max_unroll=unroll, store=store,
         enable_incremental=incremental,
     ).run()
+
+
+def _dead_pid() -> int:
+    """The pid of a process that has exited (and been reaped)."""
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    return child.pid
 
 
 def _engine_config(unroll=2, mode="degrade", lemmas_on=True):
@@ -151,10 +160,27 @@ class TestDiskStore:
     def test_orphaned_tmp_files_swept_at_open(self, tmp_path):
         disk = DiskStore(tmp_path)
         disk.open(STORE_SCHEMA)
-        orphan = disk.objects_dir / "tmp-99999-1"
+        orphan = disk.objects_dir / f"tmp-{_dead_pid()}-1"
         orphan.write_bytes(b"half a wri")
         DiskStore(tmp_path).open(STORE_SCHEMA)
         assert not orphan.exists()
+
+    def test_live_writers_tmp_files_survive_open(self, tmp_path):
+        """Two processes opening one fresh store at once: the sweep
+        must not delete the other's in-flight schema or object temp
+        file (it made the other's open fail with ``store open
+        failed``)."""
+        disk = DiskStore(tmp_path)
+        disk.open(STORE_SCHEMA)
+        writer = os.getppid()  # alive while this test runs
+        in_flight = [
+            disk.objects_dir / f"tmp-{writer}-1",
+            tmp_path / f"tmp-{writer}-schema",
+        ]
+        for path in in_flight:
+            path.write_bytes(b"half a wri")
+        DiskStore(tmp_path).open(STORE_SCHEMA)
+        assert all(path.exists() for path in in_flight)
 
 
 # ----------------------------------------------------------------------
@@ -345,7 +371,7 @@ class TestSummaryStoreEndToEnd:
         disk = DiskStore(tmp_path)
         disk.open(STORE_SCHEMA)
         disk.put_object(b'{"orphan": true}')
-        (disk.objects_dir / "tmp-4242-7").write_bytes(b"torn tem")
+        (disk.objects_dir / f"tmp-{_dead_pid()}-7").write_bytes(b"torn tem")
         cold_store = SummaryStore(tmp_path)
         cold = _run(store=cold_store)
         assert core_verdict(cold) == baseline
