@@ -183,22 +183,29 @@ class ShapeAnalysis:
         if root is not None:
             root.__enter__()
 
-        with tracer.span("phase.pointer") if tracer.enabled else _NO_SPAN:
-            start = time.perf_counter()
-            pointers = PointerAnalysis(self.program)
-            pointer_seconds = time.perf_counter() - start
+        # A prepass exception is contained like an engine one: it is
+        # held here and re-raised inside the engine's containment below,
+        # so it becomes an internal-error diagnostic, not a crash.
+        prepass_error: Exception | None = None
+        target = self.program
+        kept = pruned = 0
+        pointer_seconds = slicing_seconds = 0.0
+        try:
+            with tracer.span("phase.pointer") if tracer.enabled else _NO_SPAN:
+                start = time.perf_counter()
+                pointers = PointerAnalysis(self.program)
+                pointer_seconds = time.perf_counter() - start
 
-        with tracer.span("phase.slicing") if tracer.enabled else _NO_SPAN:
-            start = time.perf_counter()
-            kept = pruned = 0
-            if self.enable_slicing:
-                seeds = recursive_types(self.program, pointers)
-                sliced = slice_program(self.program, pointers, seeds)
-                target = sliced.program
-                kept, pruned = sliced.kept, sliced.pruned
-            else:
-                target = self.program
-            slicing_seconds = time.perf_counter() - start
+            with tracer.span("phase.slicing") if tracer.enabled else _NO_SPAN:
+                start = time.perf_counter()
+                if self.enable_slicing:
+                    seeds = recursive_types(self.program, pointers)
+                    sliced = slice_program(self.program, pointers, seeds)
+                    target = sliced.program
+                    kept, pruned = sliced.kept, sliced.pruned
+                slicing_seconds = time.perf_counter() - start
+        except Exception as exc:
+            prepass_error = exc
 
         # The engine picks up the activated obs.TRACER/obs.METRICS as
         # defaults, so custom engine factories need not accept (or
@@ -229,14 +236,17 @@ class ShapeAnalysis:
                 **extra,
             )
             try:
+                if prepass_error is not None:
+                    raise prepass_error
                 with activate_deadline(budget.check_deadline):
                     exit_states = engine.analyze()
             except Exception as exc:
                 # An AnalysisFailure is the paper's halt-and-report; any
-                # other exception is an engine bug, which must not crash
-                # the caller: it is classified as internal-error (the
-                # message carries the exception type, "RecursionError:
-                # ...") and reported like any other failure.
+                # other exception is a prepass or engine bug, which must
+                # not crash the caller: it is classified as
+                # internal-error (the message carries the exception
+                # type, "RecursionError: ...") and reported like any
+                # other failure.
                 diagnostic = Diagnostic.from_exception(exc)
                 diagnostics.append(diagnostic)
                 failure = diagnostic.message

@@ -6,10 +6,11 @@ A worklist interpreter per procedure activation with:
   (reused through a renaming witness);
 * local-heap extraction / Frame-rule recombination at call sites, with
   cutpoints preserved (never folded);
-* the loop protocol of §3: propagate raw states around each natural
-  loop for a bounded number of iterations (2 suffices, as in the
-  paper), then hypothesize an invariant with recursion synthesis and
-  *verify* it by executing the body once more -- a back-edge state that
+* the loop protocol of §3: propagate raw states around each loop (a
+  component of the weak topological order, counted at its head) for a
+  bounded number of iterations (2 suffices, as in the paper), then
+  hypothesize an invariant with recursion synthesis and *verify* it
+  by executing the body once more -- a back-edge state that
   does not fold into the invariant means the hypothesis failed and the
   analysis halts (:class:`AnalysisFailure`), never silently
   approximates;
@@ -1138,7 +1139,6 @@ class ShapeEngine:
         contracts: dict[str, Summary] | None,
     ) -> list[AbstractState]:
         proc = self.program.proc(name)
-        cfg = self.cfgs[name]
         liveness = self.liveness[name]
         exits: list[AbstractState] = []
         header_invariants: dict[int, list[AbstractState]] = {}
@@ -1157,7 +1157,8 @@ class ShapeEngine:
         # invariant-convergence check generalizes from, so loops
         # stopped converging by subsumption), so heap comparisons
         # never reach the states and the order is fully deterministic.
-        rank_of = self._wto(name).rank_of
+        wto = self._wto(name)
+        rank_of = wto.rank_of
         heap: list[tuple[int, int, int, AbstractState]] = []
         seq = 0
 
@@ -1168,7 +1169,7 @@ class ShapeEngine:
             heapq.heappush(heap, (rank_of(index), seq, index, state))
 
         def follow_edge(src: int, dst: int, state: AbstractState) -> None:
-            if cfg.is_back_edge(src, dst):
+            if wto.is_back_edge(src, dst):
                 self._back_edge(
                     name,
                     dst,

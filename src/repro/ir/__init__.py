@@ -10,12 +10,12 @@ Public surface:
 * containers: :class:`Procedure`, :class:`Program`
 * construction: :class:`ProcBuilder`, :class:`ProgramBuilder`,
   :func:`parse_program`, :func:`print_program`
-* graphs: :class:`CFG`, :class:`Loop`, :class:`CallGraph`
+* graphs: :class:`CFG`, :class:`CallGraph`
 """
 
 from repro.ir.builder import ProcBuilder, ProgramBuilder
 from repro.ir.callgraph import CallGraph
-from repro.ir.cfg import CFG, Loop
+from repro.ir.cfg import CFG
 from repro.ir.instructions import (
     ARITH_OPS,
     COMPARE_OPS,
@@ -54,7 +54,6 @@ __all__ = [
     "IntConst",
     "IRError",
     "Load",
-    "Loop",
     "Malloc",
     "NULL",
     "Nop",

@@ -1,4 +1,4 @@
-"""Call graph with Tarjan SCCs.
+"""Call graph with its strongly connected components.
 
 Recursive procedures are recognized as non-trivial SCCs (or self-loops)
 of the call graph; the interprocedural analysis treats every procedure
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.ir.cfg import strongly_connected_components
 from repro.ir.program import Program
 
 __all__ = ["CallGraph"]
@@ -25,46 +26,16 @@ class CallGraph:
             name: {c for c in proc.callees() if c in self.program.procedures}
             for name, proc in self.program.procedures.items()
         }
-        self._sccs = self._tarjan()
+        self._sccs = [
+            frozenset(members)
+            for members, _root in strongly_connected_components(
+                self.edges, self.edges, ()
+            )
+        ]
         self._scc_of: dict[str, frozenset[str]] = {}
         for scc in self._sccs:
             for name in scc:
                 self._scc_of[name] = scc
-
-    def _tarjan(self) -> list[frozenset[str]]:
-        index_counter = 0
-        indices: dict[str, int] = {}
-        lowlink: dict[str, int] = {}
-        on_stack: set[str] = set()
-        stack: list[str] = []
-        result: list[frozenset[str]] = []
-
-        def strongconnect(v: str) -> None:
-            nonlocal index_counter
-            indices[v] = lowlink[v] = index_counter
-            index_counter += 1
-            stack.append(v)
-            on_stack.add(v)
-            for w in self.edges[v]:
-                if w not in indices:
-                    strongconnect(w)
-                    lowlink[v] = min(lowlink[v], lowlink[w])
-                elif w in on_stack:
-                    lowlink[v] = min(lowlink[v], indices[w])
-            if lowlink[v] == indices[v]:
-                component = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    component.add(w)
-                    if w == v:
-                        break
-                result.append(frozenset(component))
-
-        for v in self.edges:
-            if v not in indices:
-                strongconnect(v)
-        return result
 
     # ------------------------------------------------------------------
     @property

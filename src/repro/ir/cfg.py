@@ -1,32 +1,30 @@
-"""Control-flow graph utilities: dominators, back edges, natural loops.
+"""Control-flow graph utilities: successors, predecessors, reachability,
+and the package's one strongly-connected-component routine.
 
 The interprocedural algorithm (paper, Figure 8) needs to recognize when
 a propagated edge is "a back edge of loop l" so it can count iterations
-and trigger recursion synthesis.  We compute dominators at instruction
-granularity (procedures are small after slicing) and derive natural
-loops from back edges ``tail -> header`` where the header dominates the
-tail.
+and trigger recursion synthesis.  No loops are computed here: the heads
+of the weak topological order (:mod:`repro.prepass.wto`) are the loop
+headers, for reducible and irreducible flow alike.
+
+:func:`strongly_connected_components` is iterative, because sliced
+procedures and generated programs can hold thousands of straight-line
+nodes, past Python's recursion limit.  The WTO runs it over instruction
+indices, the call graph over procedure names, and recursive-type
+identification over def-use nodes.
 """
 
 from __future__ import annotations
 
+from collections.abc import Hashable, Iterable, Mapping
 from dataclasses import dataclass, field
+from typing import TypeVar
 
 from repro.ir.program import Procedure
 
-__all__ = ["Loop", "CFG"]
+__all__ = ["CFG", "strongly_connected_components"]
 
-
-@dataclass(frozen=True)
-class Loop:
-    """A natural loop: its header index and the set of body indices."""
-
-    header: int
-    body: frozenset[int]
-    back_edges: frozenset[tuple[int, int]]
-
-    def __contains__(self, index: int) -> bool:
-        return index in self.body
+N = TypeVar("N", bound=Hashable)
 
 
 @dataclass
@@ -45,119 +43,91 @@ class CFG:
             self.succs[i] = targets
             for t in targets:
                 self.preds[t].append(i)
-        self._idom = self._compute_idoms()
-        self._back_edges = self._compute_back_edges()
-        self._loops = self._compute_loops()
 
-    # ------------------------------------------------------------------
     def reachable(self) -> list[int]:
         """Instruction indices reachable from the entry, in RPO."""
-        seen: set[int] = set()
+        if not self.proc.instrs:
+            return []
+        seen = {0}
         order: list[int] = []
-
-        def visit(i: int) -> None:
-            if i in seen:
-                return
-            seen.add(i)
-            for s in self.succs[i]:
-                visit(s)
-            order.append(i)
-
-        if self.proc.instrs:
-            visit(0)
+        # Each frame: (node, position of its next successor to visit).
+        work = [(0, 0)]
+        while work:
+            node, i = work.pop()
+            targets = self.succs[node]
+            while i < len(targets) and targets[i] in seen:
+                i += 1
+            if i < len(targets):
+                work.append((node, i + 1))
+                seen.add(targets[i])
+                work.append((targets[i], 0))
+            else:
+                order.append(node)
         order.reverse()
         return order
 
-    def _compute_idoms(self) -> dict[int, int]:
-        """Cooper-Harvey-Kennedy iterative dominator algorithm."""
-        order = self.reachable()
-        if not order:
-            return {}
-        position = {node: i for i, node in enumerate(order)}
-        idom: dict[int, int] = {order[0]: order[0]}
 
-        def intersect(a: int, b: int) -> int:
-            while a != b:
-                while position[a] > position[b]:
-                    a = idom[a]
-                while position[b] > position[a]:
-                    b = idom[b]
-            return a
+def strongly_connected_components(
+    nodes: Iterable[N], succs: Mapping[N, Iterable[N]], entries: Iterable[N]
+) -> list[tuple[list[N], N]]:
+    """Iterative Tarjan over the subgraph induced by *nodes*.
 
-        changed = True
-        while changed:
-            changed = False
-            for node in order[1:]:
-                candidates = [p for p in self.preds[node] if p in idom]
-                if not candidates:
-                    continue
-                new = candidates[0]
-                for p in candidates[1:]:
-                    new = intersect(new, p)
-                if idom.get(node) != new:
-                    idom[node] = new
-                    changed = True
-        return idom
+    The depth-first search starts from each of *entries* in turn, then
+    from every member of *nodes* it has not reached, in the order
+    *nodes* lists them.  Successors come from ``succs.get(v, ())`` in
+    their iteration order; those outside *nodes* are ignored.
 
-    def dominates(self, a: int, b: int) -> bool:
-        """Does instruction *a* dominate instruction *b*?"""
-        node = b
-        while True:
-            if node == a:
-                return True
-            parent = self._idom.get(node)
-            if parent is None or parent == node:
-                return node == a
-            node = parent
+    Returns ``(members, root)`` pairs in reverse topological order of
+    the condensation; ``root`` is the first DFS-visited member and
+    ``members`` lists the component in stack-pop order.
+    """
+    order = list(nodes)
+    inside = set(order)
+    index_of: dict[N, int] = {}
+    lowlink: dict[N, int] = {}
+    on_stack: set[N] = set()
+    stack: list[N] = []
+    sccs: list[tuple[list[N], N]] = []
 
-    def _compute_back_edges(self) -> list[tuple[int, int]]:
-        edges = []
-        for tail, targets in self.succs.items():
-            if tail not in self._idom and tail != 0:
-                continue  # unreachable
-            for head in targets:
-                if self.dominates(head, tail):
-                    edges.append((tail, head))
-        return edges
+    def visit(v: N, work: list) -> None:
+        index_of[v] = lowlink[v] = len(index_of)
+        stack.append(v)
+        on_stack.add(v)
+        # A frame: (node, its in-set successors, position in them).
+        work.append((v, [s for s in succs.get(v, ()) if s in inside], 0))
 
-    def _compute_loops(self) -> dict[int, Loop]:
-        """Natural loops keyed by header (back edges sharing a header merge)."""
-        bodies: dict[int, set[int]] = {}
-        edges: dict[int, set[tuple[int, int]]] = {}
-        for tail, header in self._back_edges:
-            body = bodies.setdefault(header, {header})
-            edges.setdefault(header, set()).add((tail, header))
-            stack = [tail]
-            while stack:
-                node = stack.pop()
-                if node in body:
-                    continue
-                body.add(node)
-                stack.extend(self.preds[node])
-        return {
-            header: Loop(header, frozenset(body), frozenset(edges[header]))
-            for header, body in bodies.items()
-        }
+    def strongconnect(start: N) -> None:
+        work: list = []
+        visit(start, work)
+        while work:
+            v, vsuccs, i = work.pop()
+            while i < len(vsuccs):
+                w = vsuccs[i]
+                i += 1
+                if w not in index_of:
+                    work.append((v, vsuccs, i))
+                    visit(w, work)
+                    break
+                if w in on_stack:
+                    lowlink[v] = min(lowlink[v], index_of[w])
+            else:
+                if lowlink[v] == index_of[v]:
+                    members: list[N] = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        members.append(w)
+                        if w == v:
+                            break
+                    sccs.append((members, v))
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[v])
 
-    # ------------------------------------------------------------------
-    @property
-    def back_edges(self) -> list[tuple[int, int]]:
-        return list(self._back_edges)
-
-    @property
-    def loops(self) -> dict[int, Loop]:
-        return dict(self._loops)
-
-    def is_back_edge(self, tail: int, head: int) -> bool:
-        return (tail, head) in self._back_edges
-
-    def loop_of_header(self, header: int) -> Loop | None:
-        return self._loops.get(header)
-
-    def innermost_loop(self, index: int) -> Loop | None:
-        """The smallest loop containing *index*, if any."""
-        best: Loop | None = None
-        for loop in self._loops.values():
-            if index in loop and (best is None or len(loop.body) < len(best.body)):
-                best = loop
-        return best
+    for entry in entries:
+        if entry in inside and entry not in index_of:
+            strongconnect(entry)
+    for node in order:
+        if node not in index_of:
+            strongconnect(node)
+    return sccs

@@ -16,9 +16,8 @@ recursive type mark it recursive as well (builders).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.ir.instructions import Call, Load, Return, Store
+from repro.ir.cfg import strongly_connected_components
+from repro.ir.instructions import Call, Load, Return
 from repro.ir.program import Program
 from repro.ir.values import Register
 from repro.prepass.reachingdefs import def_use_graph
@@ -85,56 +84,13 @@ def _global_def_use(program: Program) -> dict[_Node, set[_Node]]:
     return edges
 
 
-def _sccs(edges: dict[_Node, set[_Node]]) -> list[set[_Node]]:
-    index: dict[_Node, int] = {}
-    low: dict[_Node, int] = {}
-    on_stack: set[_Node] = set()
-    stack: list[_Node] = []
-    counter = [0]
-    result: list[set[_Node]] = []
-    nodes = set(edges)
-    for targets in edges.values():
-        nodes.update(targets)
-
-    def visit(v: _Node) -> None:
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on_stack.add(v)
-        for w in edges.get(v, ()):
-            if w not in index:
-                visit(w)
-                low[v] = min(low[v], low[w])
-            elif w in on_stack:
-                low[v] = min(low[v], index[w])
-        if low[v] == index[v]:
-            component = set()
-            while True:
-                w = stack.pop()
-                on_stack.discard(w)
-                component.add(w)
-                if w == v:
-                    break
-            result.append(component)
-
-    import sys
-
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 10000))
-    try:
-        for v in sorted(nodes):
-            if v not in index:
-                visit(v)
-    finally:
-        sys.setrecursionlimit(limit)
-    return result
-
-
 def traversal_loads(program: Program) -> set[_Node]:
     """Loads whose destination feeds back into a load address."""
     edges = _global_def_use(program)
     loads: set[_Node] = set()
-    for component in _sccs(edges):
+    # A node with no outgoing def-use edge lies on no cycle, so the
+    # edge sources are the only nodes worth walking.
+    for component, _root in strongly_connected_components(edges, edges, ()):
         nontrivial = len(component) > 1 or any(
             v in edges.get(v, ()) for v in component
         )

@@ -10,9 +10,19 @@ this order stabilizes inner loops before their exits are released,
 which is the classic cure for the FIFO worklist's habit of
 re-propagating loop bodies against half-baked invariants.
 
+The WTO is also the engine's one notion of a loop.  Its heads are the
+loop headers the paper's Figure 8 protocol counts: an edge
+``src -> head`` with ``rank(src) >= rank(head)`` is a back edge
+(:meth:`WeakTopologicalOrder.is_back_edge`), and states arriving over
+it are unrolled and generalized into invariants.  On reducible flow
+these are exactly the dominator back edges; an irreducible region
+(entered at two labels) has no dominating header but still gets a
+head, so it is generalized too.
+
 The construction here follows Bourdoncle's recursive-strategy scheme,
-implemented with an *iterative* Tarjan SCC pass (sliced procedures can
-still contain long straight-line runs that would blow Python's
+using the iterative Tarjan pass
+:func:`repro.ir.cfg.strongly_connected_components` (sliced procedures
+can still contain long straight-line runs that would blow Python's
 recursion limit):
 
 1. Run Tarjan over the subgraph induced by the candidate node set,
@@ -39,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.ir.cfg import CFG
+from repro.ir.cfg import CFG, strongly_connected_components
 
 __all__ = ["WTOComponent", "WeakTopologicalOrder", "compute_wto"]
 
@@ -72,8 +82,7 @@ class WeakTopologicalOrder:
     ``rank`` maps each reachable instruction index to its position in
     the flattened linearization -- the worklist priority.  ``depth``
     maps each index to the number of components enclosing it, and
-    ``heads`` is the set of component heads (loop headers, for
-    reducible flow).
+    ``heads`` is the set of component heads: the loop headers.
     """
 
     elements: tuple
@@ -93,6 +102,11 @@ class WeakTopologicalOrder:
     def rank_of(self, index: int) -> int:
         """Priority of *index*; unknown (unreachable) nodes sort last."""
         return self.rank.get(index, len(self.rank))
+
+    def is_back_edge(self, src: int, dst: int) -> bool:
+        """Does the edge ``src -> dst`` return to the head of a
+        component enclosing *src*?  *src* must be reachable."""
+        return dst in self.heads and self.rank[src] >= self.rank[dst]
 
 
 def compute_wto(cfg: CFG) -> WeakTopologicalOrder:
@@ -132,7 +146,7 @@ def _decompose(cfg: CFG, nodes: set[int], entries: list[int]) -> list:
     """
     if not nodes:
         return []
-    sccs = _tarjan(cfg, nodes, entries)
+    sccs = strongly_connected_components(sorted(nodes), cfg.succs, entries)
     out: list = []
     for scc, root in reversed(sccs):
         if len(scc) == 1:
@@ -149,72 +163,3 @@ def _decompose(cfg: CFG, nodes: set[int], entries: list[int]) -> list:
         inner = _decompose(cfg, body, inner_entries)
         out.append(WTOComponent(root, tuple(inner)))
     return out
-
-
-def _tarjan(
-    cfg: CFG, nodes: set[int], entries: list[int]
-) -> list[tuple[list[int], int]]:
-    """Iterative Tarjan over the subgraph induced by *nodes*.
-
-    Returns ``(scc_members, scc_root)`` pairs in reverse topological
-    order of the condensation; ``scc_root`` is the first DFS-visited
-    member (the component-head candidate).  Members are listed in
-    DFS-stack pop order, which is deterministic.
-    """
-    index_of: dict[int, int] = {}
-    lowlink: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    sccs: list[tuple[list[int], int]] = []
-    counter = 0
-    succs_of = {
-        v: [s for s in cfg.succs.get(v, ()) if s in nodes] for v in nodes
-    }
-
-    def strongconnect(start: int) -> None:
-        nonlocal counter
-        # Each frame: (node, iterator position over its in-set succs).
-        work = [(start, 0)]
-        while work:
-            v, i = work.pop()
-            if i == 0:
-                index_of[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-            advanced = False
-            vsuccs = succs_of[v]
-            while i < len(vsuccs):
-                w = vsuccs[i]
-                i += 1
-                if w not in index_of:
-                    work.append((v, i))
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    lowlink[v] = min(lowlink[v], index_of[w])
-            if advanced:
-                continue
-            if lowlink[v] == index_of[v]:
-                members: list[int] = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    members.append(w)
-                    if w == v:
-                        break
-                sccs.append((members, v))
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-
-    for entry in entries:
-        if entry in nodes and entry not in index_of:
-            strongconnect(entry)
-    # Defensive sweep: decomposed inner bodies of irreducible regions
-    # can leave nodes unreachable from the chosen entries.
-    for node in sorted(nodes):
-        if node not in index_of:
-            strongconnect(node)
-    return sccs

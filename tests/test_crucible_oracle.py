@@ -1,5 +1,7 @@
 """Tests for the differential soundness oracle (claims A, B, C)."""
 
+import pytest
+
 from repro.analysis.resilience import (
     DIAGNOSTIC_CODES,
     EXECUTION_STUCK,
@@ -8,7 +10,8 @@ from repro.analysis.resilience import (
     Diagnostic,
 )
 from repro.analysis.results import AnalysisResult
-from repro.crucible.generator import generate_program
+from repro.benchsuite import TABLE4_PROGRAMS
+from repro.crucible.generator import edit_program, generate_program
 from repro.crucible.oracle import ConcreteOutcome, Oracle
 from repro.ir.textual import parse_program
 from repro.logic.predicates import PredicateEnv
@@ -212,3 +215,29 @@ class TestInterpreterHealth:
         assert report.concrete.diagnostic is not None
         assert report.concrete.diagnostic["code"] == "concrete-divergence"
         assert report.concrete.diagnostic["phase"] == "concrete"
+
+
+class TestKnownArrayOverruns:
+    """Two one-statement edits of ``181.mcf`` overrun its 500-node array
+    ("store to unallocated address 501"), and strict mode passes both:
+    a claim-A (pass implies safe) violation.  The ROADMAP item "A pass
+    must imply safe on arrays: bound array regions" removes it; these
+    strict xfails turn into failures the moment that lands, so they
+    must be flipped to plain tests then."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="array regions are unbounded (ROADMAP: a pass must imply "
+        "safe on arrays: bound array regions)",
+    )
+    @pytest.mark.parametrize(
+        "seed",
+        [
+            332561693,  # deletes `%i = 1` (main@7): an off-by-one
+            368536336,  # deletes `%i = add %i, 1` (main@18): an unbounded walk
+        ],
+    )
+    def test_mcf_array_overrun_edit_is_not_passed(self, seed):
+        program, _notes = edit_program(TABLE4_PROGRAMS()["181.mcf"], seed)
+        report = _fast_oracle().check(program)
+        assert report.ok, [v.message for v in report.violations]

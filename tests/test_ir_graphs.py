@@ -1,6 +1,8 @@
-"""Tests for CFG (dominators, back edges, loops) and the call graph."""
+"""Tests for the CFG, its weak topological order (loop heads and back
+edges), and the call graph."""
 
 from repro.ir import CFG, CallGraph, parse_program
+from repro.prepass.wto import compute_wto
 
 
 def _cfg(src: str, proc: str = "main") -> CFG:
@@ -10,8 +12,9 @@ def _cfg(src: str, proc: str = "main") -> CFG:
 class TestCFG:
     def test_straight_line_has_no_back_edges(self):
         cfg = _cfg("proc main():\n    %x = null\n    return")
-        assert cfg.back_edges == []
-        assert cfg.loops == {}
+        wto = compute_wto(cfg)
+        assert wto.heads == frozenset()
+        assert not wto.is_back_edge(0, 1)
 
     def test_single_loop(self):
         cfg = _cfg(
@@ -26,14 +29,20 @@ out:
     return
 """
         )
-        assert len(cfg.back_edges) == 1
-        tail, header = cfg.back_edges[0]
-        assert cfg.dominates(header, tail)
-        loop = cfg.loop_of_header(header)
-        assert loop is not None and tail in loop
+        wto = compute_wto(cfg)
+        back_edges = [
+            (tail, head)
+            for tail in cfg.reachable()
+            for head in cfg.succs[tail]
+            if wto.is_back_edge(tail, head)
+        ]
+        assert len(back_edges) == 1
+        tail, header = back_edges[0]
+        assert wto.heads == {header}
+        assert wto.depth[tail] == wto.depth[header] + 1
 
     def test_nested_loops_two_headers(self):
-        cfg = _cfg(
+        proc = parse_program(
             """
 proc main():
     %i = 3
@@ -50,13 +59,14 @@ next:
 out:
     return
 """
-        )
-        assert len(cfg.loops) == 2
-        sizes = sorted(len(l.body) for l in cfg.loops.values())
-        assert sizes[0] < sizes[1]  # inner strictly smaller
+        ).proc("main")
+        wto = compute_wto(CFG(proc))
+        outer, inner = proc.labels["outer"], proc.labels["inner"]
+        assert wto.heads == {outer, inner}
+        assert wto.depth[inner] > wto.depth[outer]  # inner strictly nested
 
     def test_innermost_loop(self):
-        cfg = _cfg(
+        proc = parse_program(
             """
 proc main():
     %i = 3
@@ -71,14 +81,13 @@ next:
 out:
     return
 """
-        )
-        inner_header = [
-            h for h, l in cfg.loops.items()
-            if all(h in other.body for other in cfg.loops.values())
-        ]
-        assert inner_header
-        innermost = cfg.innermost_loop(inner_header[0])
-        assert innermost is not None
+        ).proc("main")
+        wto = compute_wto(CFG(proc))
+        inner = proc.labels["inner"]
+        # The innermost head is the deepest one; its own goto is the
+        # innermost loop's back edge.
+        assert max(wto.heads, key=wto.depth.__getitem__) == inner
+        assert wto.is_back_edge(inner + 1, inner)
 
     def test_entry_dominates_everything(self):
         cfg = _cfg(
@@ -92,8 +101,10 @@ b:
     return
 """
         )
-        for node in cfg.reachable():
-            assert cfg.dominates(0, node)
+        # The entry ranks first, and every reachable node is ranked.
+        wto = compute_wto(cfg)
+        assert wto.flatten()[0] == 0
+        assert set(wto.rank) == set(cfg.reachable()) == {0, 1, 2, 3}
 
     def test_unreachable_code_tolerated(self):
         cfg = _cfg(
@@ -105,6 +116,13 @@ proc main():
 """
         )
         assert 1 not in cfg.reachable()
+        assert 1 not in compute_wto(cfg).rank
+
+    def test_reachable_survives_deep_straight_line(self):
+        # One frame per instruction would pass Python's recursion limit.
+        body = "".join(f"    %x{i} = null\n" for i in range(3000))
+        cfg = _cfg(f"proc main():\n{body}    return")
+        assert cfg.reachable() == list(range(3001))
 
 
 class TestCallGraph:
@@ -152,3 +170,23 @@ proc main():
         main_index = order.index(frozenset({"main"}))
         ab_index = order.index(frozenset({"a", "b"}))
         assert ab_index < main_index
+
+    def test_deep_call_chain_needs_no_recursion(self):
+        # main -> p1 -> ... -> p1500: one DFS frame per procedure would
+        # pass Python's recursion limit.
+        procs = "".join(
+            f"proc p{i}():\n    %r = call p{i + 1}()\n    return %r\n\n"
+            for i in range(1, 1500)
+        )
+        cg = CallGraph(
+            parse_program(
+                "proc main():\n    %r = call p1()\n    return %r\n\n"
+                + procs
+                + "proc p1500():\n    return null\n"
+            )
+        )
+        order = cg.topological_order()
+        assert len(order) == 1501
+        assert order[0] == frozenset({"p1500"})
+        assert order[-1] == frozenset({"main"})
+        assert not cg.is_recursive("main")

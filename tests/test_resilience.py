@@ -341,6 +341,48 @@ class TestInternalErrorWrapping:
         )
         assert failure.to_diagnostic().location() == "p@4"
 
+    def test_prepass_exception_becomes_diagnostic(self, monkeypatch):
+        import repro.analysis.engine as engine_module
+
+        def broken(program, pointers):
+            raise ValueError("prepass boom")
+
+        monkeypatch.setattr(engine_module, "recursive_types", broken)
+        result = ShapeAnalysis(parse_program(LIST_SRC)).run()
+        assert result.outcome == "failed"
+        assert [d.code for d in result.diagnostics] == [INTERNAL_ERROR]
+        assert result.failure == "ValueError: prepass boom"
+
+
+class TestDeepGraphs:
+    """Graphs deeper than Python's recursion limit: every graph walk is
+    iterative, so ``run()`` decides instead of raising."""
+
+    def test_long_straight_line_passes(self):
+        body = "".join(f"    %x{i} = %x{i - 1}\n" for i in range(1, 1200))
+        result = ShapeAnalysis(
+            parse_program(
+                f"proc main():\n    %x0 = malloc()\n{body}    return %x1199\n"
+            )
+        ).run()
+        assert result.outcome == "pass"
+        assert result.diagnostics == []
+
+    def test_deep_call_chain_halts_at_the_activation_bound(self):
+        chain = "".join(
+            f"proc p{i}(%a):\n    %r = call p{i + 1}(%a)\n    return %r\n\n"
+            for i in range(1, 1500)
+        )
+        result = ShapeAnalysis(
+            parse_program(
+                "proc main():\n    %a = malloc()\n    %r = call p1(%a)\n"
+                f"    return %r\n\n{chain}proc p1500(%a):\n    return %a\n"
+            )
+        ).run()
+        assert result.outcome == "failed"
+        assert [d.code for d in result.diagnostics] == [BUDGET_EXHAUSTED]
+        assert "procedure activation depth exceeded 96" in result.failure
+
 
 class TestCLIExitCodes:
     def _write(self, tmp_path, name, text):

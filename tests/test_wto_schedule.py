@@ -9,6 +9,7 @@ its worklist counters exactly rather than against a threshold.
 """
 
 from repro.analysis import ShapeAnalysis
+from repro.crucible.oracle import Oracle
 from repro.ir import Register
 from repro.ir.cfg import CFG
 from repro.ir.textual import parse_program
@@ -144,7 +145,8 @@ def test_wto_irreducible_cfg_falls_back_to_a_sound_total_order():
     # there is no natural header.  Any head choice is sound; the WTO
     # must still rank every reachable node exactly once,
     # deterministically.
-    cfg = _main_cfg(IRREDUCIBLE)
+    proc = parse_program(IRREDUCIBLE).proc("main")
+    cfg = CFG(proc)
     wto = compute_wto(cfg)
     reachable = set(cfg.reachable())
     flat = wto.flatten()
@@ -152,17 +154,81 @@ def test_wto_irreducible_cfg_falls_back_to_a_sound_total_order():
     assert len(flat) == len(reachable)
     assert wto.heads  # the multi-entry SCC still became a component
     assert compute_wto(_main_cfg(IRREDUCIBLE)).flatten() == flat
-    # ... and the analysis over it halts with a diagnostic: the loop
-    # never converges, and the state budget stops it.
-    result = ShapeAnalysis(
-        parse_program(IRREDUCIBLE),
-        name="irreducible",
-        mode="degrade",
-        deadline_seconds=10.0,
-        enable_cache=False,
-    ).run()
-    assert result.outcome == "failed"
-    assert [d.code for d in result.diagnostics] == ["budget-exhausted"]
+    # The head is the loop header: its edge back from the other entry
+    # is a back edge, so states arriving there are generalized into an
+    # invariant and the analysis converges (no dominator back edge
+    # exists, and a dominator-driven protocol ran into the state budget).
+    (head,) = wto.heads
+    assert head in (proc.labels["a"], proc.labels["b"])
+    assert any(wto.is_back_edge(p, head) for p in cfg.preds[head])
+    for mode in ("strict", "degrade"):
+        result = ShapeAnalysis(
+            parse_program(IRREDUCIBLE),
+            name="irreducible",
+            mode=mode,
+            deadline_seconds=10.0,
+            enable_cache=False,
+        ).run()
+        assert result.outcome == "pass", mode
+        assert result.diagnostics == [], mode
+
+
+#: A list traversal whose loop is entered at both its null test and its
+#: ``[%c.next]`` step (a non-null head skips the first test): the
+#: {test, step} region has no dominating header.
+IRREDUCIBLE_TRAVERSAL = """
+proc build(%n):
+    %head = null
+L:
+    if %n <= 0 goto done
+    %p = malloc()
+    [%p.next] = %head
+    %head = %p
+    %n = sub %n, 1
+    goto L
+done:
+    return %head
+
+proc main():
+    %h = call build(5)
+    %c = %h
+    if %c == null goto test
+    goto step
+test:
+    if %c == null goto out
+step:
+    %c = [%c.next]
+    goto test
+out:
+    return %h
+"""
+
+#: The buggy twin: a second, unguarded hop per iteration walks off the
+#: end of the list.
+IRREDUCIBLE_TRAVERSAL_TWO_HOPS = IRREDUCIBLE_TRAVERSAL.replace(
+    "step:\n    %c = [%c.next]\n",
+    "step:\n    %c = [%c.next]\n    %c = [%c.next]\n",
+)
+
+
+def test_irreducible_flow_is_oracle_clean():
+    oracle = Oracle(deadline_seconds=10.0)
+    for src in (IRREDUCIBLE, IRREDUCIBLE_TRAVERSAL):
+        report = oracle.check(parse_program(src))
+        assert report.ok, [v.message for v in report.violations]
+        assert report.analysis_outcome == "pass"
+        assert report.concrete.status == "ok"
+
+
+def test_irreducible_traversal_with_an_unguarded_hop_fails():
+    assert IRREDUCIBLE_TRAVERSAL_TWO_HOPS != IRREDUCIBLE_TRAVERSAL
+    report = Oracle(deadline_seconds=10.0).check(
+        parse_program(IRREDUCIBLE_TRAVERSAL_TWO_HOPS)
+    )
+    assert report.ok, [v.message for v in report.violations]
+    assert report.analysis_outcome == "failed"
+    assert report.diagnostic_codes == ["execution-stuck"]
+    assert report.concrete.status == "fault"
 
 
 # ----------------------------------------------------------------------
