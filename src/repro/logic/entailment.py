@@ -279,13 +279,24 @@ def subsumes(
                 _report_query(result, steps=0, capped=False, cached=True)
                 return result
     budget = _MatchBudget(step_limit)
+    result = None
     capped = False
     attempts_before = engine.enabled and engine.attempts or 0
     try:
         result = _subsumes(general, concrete, live, env, budget)
     except _MatchBudgetExceeded:
-        result = None
         capped = True
+    finally:
+        # Also when the run's deadline poll (or an injected fault)
+        # aborts the match: the query happened and counts, with its
+        # steps.
+        _report_query(
+            result,
+            steps=budget.steps,
+            capped=capped,
+            cached=False,
+            attempts=(engine.enabled and engine.attempts or 0) - attempts_before,
+        )
     if cache_key is not None:
         try:
             payload = (
@@ -303,13 +314,6 @@ def subsumes(
         else:
             if cache.store(cache_key, payload) and obs.METRICS.enabled:
                 obs.METRICS.inc("entailment.cache.evictions")
-    _report_query(
-        result,
-        steps=budget.steps,
-        capped=capped,
-        cached=False,
-        attempts=(engine.enabled and engine.attempts or 0) - attempts_before,
-    )
     return result
 
 

@@ -62,13 +62,16 @@ def slice_program(
 ) -> SliceResult:
     """Prune instructions that cannot affect recursive pointer fields."""
     needed: set[tuple[str, Register]] = set()
+    #: needed registers whose definitions are not yet pulled in
+    work: list[tuple[str, Register]] = []
     kept: set[tuple[str, int]] = set()
     tracked = {pointers.canonical(t) for t in seed_types}
 
     def need(proc: str, *operands) -> None:
         for operand in operands:
-            if isinstance(operand, Register):
+            if isinstance(operand, Register) and (proc, operand) not in needed:
                 needed.add((proc, operand))
+                work.append((proc, operand))
 
     # ------------------------------------------------------------------
     # Seeds: memory operations on pointer cells, control flow, calls.
@@ -126,38 +129,33 @@ def slice_program(
                         need(name, instr.src)
 
     # ------------------------------------------------------------------
-    # Backward closure over definitions of needed registers.
+    # Backward closure over definitions of needed registers: each needed
+    # register pulls in the instructions defining it (and their
+    # operands), and a needed parameter the matching argument at every
+    # call site.  Both are indexed once, so the closure is linear.
     # ------------------------------------------------------------------
-    changed = True
-    while changed:
-        changed = False
-        for name, proc in program.procedures.items():
-            for i, instr in enumerate(proc.instrs):
-                if (name, i) in kept:
-                    continue
-                if any((name, r) in needed for r in instr.defs()):
-                    kept.add((name, i))
-                    for register in instr.uses():
-                        if (name, register) not in needed:
-                            needed.add((name, register))
-                            changed = True
-                    changed = True
-            # Parameters needed inside a callee make the corresponding
-            # call arguments needed at every call site.
-        for name, proc in program.procedures.items():
-            for i, instr in enumerate(proc.instrs):
-                if not isinstance(instr, Call):
-                    continue
-                if instr.func not in program.procedures:
-                    continue
+    defining: dict[tuple[str, Register], list[int]] = {}
+    arguments: dict[tuple[str, Register], list[tuple[str, Register]]] = {}
+    for name, proc in program.procedures.items():
+        for i, instr in enumerate(proc.instrs):
+            for register in instr.defs():
+                defining.setdefault((name, register), []).append(i)
+            if isinstance(instr, Call) and instr.func in program.procedures:
                 callee = program.procedures[instr.func]
                 for formal, actual in zip(callee.params, instr.args):
-                    if (instr.func, formal) in needed and isinstance(
-                        actual, Register
-                    ):
-                        if (name, actual) not in needed:
-                            needed.add((name, actual))
-                            changed = True
+                    if isinstance(actual, Register):
+                        arguments.setdefault((instr.func, formal), []).append(
+                            (name, actual)
+                        )
+    while work:
+        key = work.pop()
+        name = key[0]
+        for i in defining.get(key, ()):
+            if (name, i) not in kept:
+                kept.add((name, i))
+                need(name, *program.procedures[name].instrs[i].uses())
+        for caller, actual in arguments.get(key, ()):
+            need(caller, actual)
 
     # ------------------------------------------------------------------
     # Rebuild the program with pruned instructions as nops.

@@ -14,10 +14,16 @@ recurrence body (the paper's ``tskel <= u`` relation):
   ``u`` is a name term or an already-folded predicate instance),
 * ``f(s1..sn) <= f(u1..un)`` if ``si <= ui`` for all i.
 
-The paper's Figure 5 walks the term left-to-right / top-to-bottom,
-preferring to accept a potential recursion point and backtracking when
-the segmentation fails to validate.  We implement the same search order
-as a full backtracking generator (so a caller can also reject a
+Recursion points are direct children of the root, positions of length
+one.  The assembler (:mod:`repro.synthesis.synthesize`) makes each one
+a recursive call on a field of the predicate body; a point deeper down
+would need a multi-level recurrence body, which it cannot express, so
+searching such points only delays the first segmentation that builds.
+
+The paper's Figure 5 walks the candidates left to right, preferring to
+accept a potential recursion point and backtracking when the
+segmentation fails to validate.  We implement the same search order as
+a full backtracking generator (so a caller can also reject a
 segmentation later -- e.g. when no consistent parameter substitution
 exists -- and resume the search), which subsumes the paper's
 modifications "to determine when NULL nodes are not unfolding points":
@@ -34,6 +40,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from itertools import compress, product
 
 from repro.synthesis.terms import (
     HOLE,
@@ -47,8 +54,6 @@ from repro.synthesis.terms import (
     children,
     contains_terminal,
     is_terminal,
-    positions,
-    subterm,
 )
 
 __all__ = ["Segmentation", "find_segmentations", "make_skeleton", "skeleton_matches"]
@@ -71,7 +76,7 @@ class Segmentation:
     """
 
     recursion_points: tuple[Position, ...]
-    skeleton: Term
+    skeleton: StarTerm
     segments: dict[Position, Term]
     pairs: tuple[tuple[Position, int, Position], ...]
     folded_tails: tuple[tuple[Position, int, PredTerm], ...] = ()
@@ -101,47 +106,42 @@ def find_segmentations(
 ) -> Iterator[Segmentation]:
     """Yield valid segmentations of *term*, best-first.
 
-    The order follows the paper: candidates are considered in preorder,
-    accepting a candidate is preferred over skipping it, so the first
-    yielded segmentation has its recursion points as high and as far
-    left as possible (the minimal recurrence).  The search is
-    exponential in the candidate count, so *deadline_poll* (which raises
+    Recursion points are the root's own fields (positions of length
+    one), as in the paper's Figure 5: the assembler turns each one into
+    a recursive call on a field of the predicate body, and a point
+    deeper down would need a multi-level recurrence body it cannot
+    express.  The search is therefore exponential only in the root's
+    field count, not in the size of the term.
+
+    The order follows the paper: candidates are considered left to
+    right, accepting a candidate is preferred over skipping it, so the
+    first yielded segmentation accepts the leftmost candidates it can
+    (the minimal recurrence).  *deadline_poll* (which raises
     once the run's deadline has passed) is called before every
     candidate validation."""
     if not isinstance(term, StarTerm) or term.is_unexpanded:
         return
-    candidates = [p for p in positions(term) if p and _is_potential(term, p)]
-
-    def search(index: int, chosen: list[Position]) -> Iterator[Segmentation]:
-        if index == len(candidates):
-            if chosen:
-                if deadline_poll is not None:
-                    deadline_poll()
-                result = _validate(term, tuple(chosen))
-                if result is not None:
-                    yield result
+    candidates = [
+        (i,)
+        for i, target in enumerate(term.targets)
+        if _is_potential(term, target)
+    ]
+    # Accept-first preorder is the lexicographic order with True < False;
+    # the last pick, the empty subset, segments nothing.
+    for picks in product((True, False), repeat=len(candidates)):
+        chosen = tuple(compress(candidates, picks))
+        if not chosen:
             return
-        pos = candidates[index]
-        if any(_is_position_prefix(r, pos) for r in chosen):
-            # Inside an accepted recursion sub-structure; not a choice.
-            yield from search(index + 1, chosen)
-            return
-        # Prefer accepting (paper's left-to-right, top-to-bottom greed).
-        chosen.append(pos)
-        yield from search(index + 1, chosen)
-        chosen.pop()
-        yield from search(index + 1, chosen)
-
-    yield from search(0, [])
+        if deadline_poll is not None:
+            deadline_poll()
+        result = _validate(term, chosen)
+        if result is not None:
+            yield result
 
 
-def _is_position_prefix(prefix: Position, pos: Position) -> bool:
-    return len(prefix) < len(pos) and pos[: len(prefix)] == prefix
-
-
-def _is_potential(term: Term, pos: Position) -> bool:
-    """``is_potential_recursion_point`` of Figure 5."""
-    node = subterm(term, pos)
+def _is_potential(term: StarTerm, node: Term) -> bool:
+    """``is_potential_recursion_point`` of Figure 5, for a field target
+    *node* of the root *term*."""
     if isinstance(node, (NullTerm, PredTerm)):
         return True
     if isinstance(node, StarTerm):
@@ -151,113 +151,70 @@ def _is_potential(term: Term, pos: Position) -> bool:
     return False
 
 
-def make_skeleton(term: Term, recursion_points: tuple[Position, ...]) -> Term:
+def make_skeleton(term: StarTerm, recursion_points: tuple[Position, ...]) -> StarTerm:
     """The minimal pattern of *term* reaching all recursion points.
 
-    Recursion points become holes; every maximal subtree containing no
-    recursion point is replaced by a variable at its highest point."""
-    counter = [0]
-    prefixes = {r[:i] for r in recursion_points for i in range(len(r) + 1)}
-
-    def build(node: Term, pos: Position) -> Term:
-        if pos in recursion_points:
-            return HOLE
-        if pos not in prefixes:
-            counter[0] += 1
-            return VarTerm(counter[0])
-        kids = children(node)
-        rebuilt = tuple(build(c, pos + (i,)) for i, c in enumerate(kids))
-        if isinstance(node, StarTerm):
-            return StarTerm(node.fields, rebuilt, loc=None)
-        if isinstance(node, PredTerm):
-            return PredTerm(node.pred, rebuilt, loc=None)
-        raise AssertionError(
-            f"recursion point inside a non-structural term: {node}"
-        )
-
-    return build(term, ())
+    Recursion points become holes; every other field target is replaced
+    by a variable."""
+    counter = 0
+    targets: list[Term] = []
+    for i in range(len(term.targets)):
+        if (i,) in recursion_points:
+            targets.append(HOLE)
+        else:
+            counter += 1
+            targets.append(VarTerm(counter))
+    return StarTerm(term.fields, tuple(targets), loc=None)
 
 
-def skeleton_matches(skeleton: Term, node: Term) -> bool:
+def skeleton_matches(skeleton: StarTerm, node: Term) -> bool:
     """The paper's ``tskel <= u`` relation."""
-    if isinstance(skeleton, Hole):
-        return _contains_stop(node)
-    if isinstance(skeleton, VarTerm):
-        if contains_terminal(node):
-            return False
+    if not isinstance(node, StarTerm) or skeleton.fields != node.fields:
+        return False
+    for pattern, target in zip(skeleton.targets, node.targets):
+        if isinstance(pattern, Hole):
+            if not _contains_stop(target):
+                return False
         # Parameters must be translated names of heap locations (or
         # already-folded sub-structures, which become nested calls).
-        return isinstance(node, (NameTerm, PredTerm))
-    if isinstance(skeleton, StarTerm):
-        return (
-            isinstance(node, StarTerm)
-            and skeleton.fields == node.fields
-            and all(
-                skeleton_matches(s, c)
-                for s, c in zip(skeleton.targets, node.targets)
-            )
-        )
-    if isinstance(skeleton, PredTerm):
-        return (
-            isinstance(node, PredTerm)
-            and skeleton.pred == node.pred
-            and len(skeleton.args) == len(node.args)
-            and all(
-                skeleton_matches(s, c) for s, c in zip(skeleton.args, node.args)
-            )
-        )
-    raise AssertionError(f"unexpected skeleton node {skeleton}")
+        elif contains_terminal(target) or not isinstance(
+            target, (NameTerm, PredTerm)
+        ):
+            return False
+    return True
 
 
-def _make_segment(node: Term, recursion_points: tuple[Position, ...]) -> Term | None:
+def _make_segment(node: StarTerm, recursion_points: tuple[Position, ...]) -> StarTerm:
     """*node* with the subtrees at the recursion points cut to holes."""
-
-    def build(current: Term, pos: Position) -> Term | None:
-        if pos in recursion_points:
-            return HOLE
-        if not any(_is_position_prefix(pos, r) or pos == r for r in recursion_points):
-            return current
-        kids = children(current)
-        rebuilt = []
-        for i, child in enumerate(kids):
-            piece = build(child, pos + (i,))
-            if piece is None:
-                return None
-            rebuilt.append(piece)
-        if isinstance(current, StarTerm):
-            return StarTerm(current.fields, tuple(rebuilt), loc=current.loc)
-        if isinstance(current, PredTerm):
-            return PredTerm(current.pred, tuple(rebuilt), loc=current.loc)
-        return None  # recursion point under a non-structural node
-
-    return build(node, ())
+    return StarTerm(
+        node.fields,
+        tuple(
+            HOLE if (i,) in recursion_points else target
+            for i, target in enumerate(node.targets)
+        ),
+        loc=node.loc,
+    )
 
 
-def _validate(term: Term, recursion_points: tuple[Position, ...]) -> Segmentation | None:
+def _validate(term: StarTerm, recursion_points: tuple[Position, ...]) -> Segmentation | None:
     """Full validity check; builds the segmentation artifacts."""
-    for r in recursion_points:
-        if subterm(term, r) is None:
-            return None
     skeleton = make_skeleton(term, recursion_points)
     # The root's own parameter positions must hold legal parameter
     # instantiations (names or null -- e.g. mcf_tree(h, null, null)).
-    if not _root_parameters_legal(skeleton, term):
+    if not all(
+        isinstance(target, (NameTerm, NullTerm, PredTerm))
+        for pattern, target in zip(skeleton.targets, term.targets)
+        if isinstance(pattern, VarTerm)
+    ):
         return None
     segments: dict[Position, Term] = {}
     pairs: list[tuple[Position, int, Position]] = []
     folded_tails: list[tuple[Position, int, PredTerm]] = []
 
-    def walk(pos: Position) -> bool:
-        node = subterm(term, pos)
-        segment = _make_segment(node, recursion_points)
-        if segment is None:
-            return False
-        segments[pos] = segment
-        for index, r in enumerate(recursion_points):
-            child_pos = pos + r
-            child = subterm(term, child_pos)
-            if child is None:
-                return False
+    def walk(pos: Position, node: StarTerm) -> bool:
+        segments[pos] = _make_segment(node, recursion_points)
+        for index, (field_index,) in enumerate(recursion_points):
+            child = node.targets[field_index]
             if is_terminal(child):
                 continue
             if isinstance(child, PredTerm):
@@ -265,12 +222,13 @@ def _validate(term: Term, recursion_points: tuple[Position, ...]) -> Segmentatio
                 continue
             if not skeleton_matches(skeleton, child):
                 return False
+            child_pos = pos + (field_index,)
             pairs.append((pos, index, child_pos))
-            if not walk(child_pos):
+            if not walk(child_pos, child):
                 return False
         return True
 
-    if not walk(()):
+    if not walk((), term):
         return None
     if not pairs and not folded_tails:
         return None  # the recurrence was never seen to repeat
@@ -281,21 +239,3 @@ def _validate(term: Term, recursion_points: tuple[Position, ...]) -> Segmentatio
         tuple(pairs),
         tuple(folded_tails),
     )
-
-
-def _root_parameters_legal(skeleton: Term, root: Term) -> bool:
-    """Variable positions of the skeleton must hold names, null or
-    folded instances in the root segment (they become the arguments of
-    the top-level predicate instantiation)."""
-
-    def check(skel: Term, node: Term) -> bool:
-        if isinstance(skel, Hole):
-            return True
-        if isinstance(skel, VarTerm):
-            return isinstance(node, (NameTerm, NullTerm, PredTerm))
-        for s, c in zip(children(skel), children(node)):
-            if not check(s, c):
-                return False
-        return True
-
-    return check(skeleton, root)

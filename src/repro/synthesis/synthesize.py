@@ -163,10 +163,8 @@ def _build(
     index_of = {pos: i for i, pos in enumerate(order)}
     au = anti_unify([segmentation.segments[pos] for pos in order])
     body = au.body
-    if not isinstance(body, StarTerm):
-        raise SynthesisFailure("recurrence body is not a heap node")
-    if any(len(r) != 1 for r in segmentation.recursion_points):
-        raise SynthesisFailure("nested (multi-level) recurrence bodies unsupported")
+    # Every segment is a one-level cut of a node with the root's fields.
+    assert isinstance(body, StarTerm)
 
     x1_values = tuple(_node_name(term, pos) for pos in order)
 
@@ -197,14 +195,12 @@ def _build(
         param_of_var[var.index] = len(params) - 1
         return param_of_var[var.index]
 
-    recursion_position_of_field: dict[str, tuple[int, ...]] = {}
     for field_index, (field_name, target) in enumerate(
         zip(body.fields, body.targets)
     ):
         if isinstance(target, Hole):
             rec_index = len(rec_fields)
             rec_fields.append(field_name)
-            recursion_position_of_field[field_name] = (field_index,)
             field_specs.append(FieldSpec(field_name, RecTarget(rec_index)))
             pending_calls.append((field_name, "self", (field_index,)))
         elif isinstance(target, NullTerm):

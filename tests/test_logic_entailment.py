@@ -6,6 +6,7 @@ import time
 import pytest
 from conftest import fp
 
+from repro import obs
 from repro.analysis.resilience import BUDGET_EXHAUSTED, Budget, BudgetExhausted
 from repro.ir import Register
 from repro.logic import (
@@ -255,3 +256,26 @@ class TestMatchBudget:
         assert info.value.code == BUDGET_EXHAUSTED
         # Outside the block no poll is installed.
         assert subsumes(general, concrete) is not None
+
+    def test_query_cut_by_the_deadline_is_still_counted(self):
+        # The traced benchmark pairs subsumes spans with the
+        # entailment.queries counter, so a query whose match the
+        # deadline poll aborts inside _match_atoms must count once,
+        # with the steps it made.
+        k = 8
+        general = _state(
+            {"x": Var(f"a{k - 1}")}, [Raw(Var(f"a{i}")) for i in range(k)]
+        )
+        concrete = _state(
+            {"x": Var("b0")}, [Raw(Var(f"b{i}")) for i in range(k)]
+        )
+        budget = Budget(deadline_seconds=0.0)
+        budget.start()
+        time.sleep(0.001)
+        metrics = obs.Metrics()
+        with obs.activate(metrics=metrics):
+            with activate_deadline(budget.check_deadline):
+                with pytest.raises(BudgetExhausted):
+                    subsumes(general, concrete)
+        assert metrics.counter("entailment.queries") == 1
+        assert metrics.counter("entailment.match_steps") == DEADLINE_POLL_STEPS

@@ -62,6 +62,31 @@ proc main():
     return %k
 """
 
+#: A list whose head alone carries ``%g`` in ``d`` (the older nodes
+#: have ``d`` null) and fourteen null payload fields.  No subset of the
+#: head's fields validates as a segmentation: with ``next`` the child
+#: fails the skeleton at ``d``; without it nothing repeats.
+WIDE_NODE_SRC = """
+proc main():
+    %n = 10
+    %g = malloc()
+    [%g.next] = null
+    %head = malloc()
+    [%head.next] = null
+L:
+    if %n <= 0 goto done
+    %p = malloc()
+    [%p.next] = %head
+    [%p.d] = %g
+    [%head.d] = null
+""" + "".join(f"    [%p.f{i:02d}] = null\n" for i in range(14)) + """
+    %head = %p
+    %n = sub %n, 1
+    goto L
+done:
+    return %head
+"""
+
 LIST_SRC = """
 proc main():
     %n = 10
@@ -116,22 +141,39 @@ class TestBudget:
 
     @pytest.mark.parametrize("deadline", [0.25, 1.0])
     def test_deadline_overshoot_in_synthesis_is_bounded(self, deadline):
-        # This edit spends the time past its deadline in the exponential
-        # segmentation search of recursion synthesis (~10 s undeadlined);
-        # the search polls the deadline per candidate validation.
-        program, _notes = edit_program(TABLE4_PROGRAMS()["181.mcf"], 170)
+        # The loop head's term is a node with 15 candidate recursion
+        # points (14 null fields and ``next``) and no valid
+        # segmentation, so every one of the 2**15 - 1 subsets is
+        # validated, term after term (minutes undeadlined).  The search
+        # polls the deadline per candidate validation.
         start = time.perf_counter()
         result = ShapeAnalysis(
-            program,
-            name="edit:181.mcf@170",
+            parse_program(WIDE_NODE_SRC),
             mode="degrade",
             deadline_seconds=deadline,
+            enable_slicing=False,
         ).run()
         overshoot = time.perf_counter() - start - deadline
         assert result.outcome == "failed"
         diagnostic = result.diagnostics[-1]
         assert (diagnostic.code, diagnostic.phase) == (BUDGET_EXHAUSTED, "shape")
         assert overshoot <= 0.15
+
+    def test_wide_search_edit_decides_before_the_deadline(self):
+        # stmt-delete main@11 of 181.mcf used to search nested recursion
+        # points for ~12 s and end budget-exhausted at any deadline; the
+        # one-level search decides it in well under a second.
+        program, _notes = edit_program(TABLE4_PROGRAMS()["181.mcf"], 170)
+        result = ShapeAnalysis(
+            program,
+            name="edit:181.mcf@170",
+            mode="degrade",
+            deadline_seconds=5.0,
+        ).run()
+        codes = {d.code for d in result.diagnostics}
+        assert result.outcome == "degraded"
+        assert INVARIANT_FAILURE in codes
+        assert BUDGET_EXHAUSTED not in codes
 
     def test_state_budget_exhaustion_reported(self):
         result = ShapeAnalysis(
@@ -359,10 +401,13 @@ class TestDeepGraphs:
     iterative, so ``run()`` decides instead of raising."""
 
     def test_long_straight_line_passes(self):
-        body = "".join(f"    %x{i} = %x{i - 1}\n" for i in range(1, 1200))
+        # Nearly all of the run is reaching definitions, which is
+        # quadratic in straight-line length; the slicer's closure is
+        # linear.
+        body = "".join(f"    %x{i} = %x{i - 1}\n" for i in range(1, 2000))
         result = ShapeAnalysis(
             parse_program(
-                f"proc main():\n    %x0 = malloc()\n{body}    return %x1199\n"
+                f"proc main():\n    %x0 = malloc()\n{body}    return %x1999\n"
             )
         ).run()
         assert result.outcome == "pass"

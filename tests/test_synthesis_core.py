@@ -1,6 +1,8 @@
 """Tests for segmentation search, anti-unification, substitution fitting
 and full predicate synthesis (§3.1.2)."""
 
+import random
+
 import pytest
 
 from conftest import fp
@@ -21,19 +23,26 @@ from repro.obs import Metrics
 from repro.synthesis import (
     HOLE,
     NULL_TERM,
+    Hole,
     NameTerm,
+    NullTerm,
+    PredTerm,
     SampleContext,
+    Segmentation,
     StarTerm,
     VarTerm,
     anti_unify,
     find_segmentations,
     fit_argument,
     make_skeleton,
+    positions,
     skeleton_matches,
+    subterm,
     synthesize_forest,
     synthesize_term,
     translate_heap,
 )
+from repro.synthesis.terms import children, contains_terminal, is_terminal
 
 
 def list_trace(levels: int = 2) -> SpatialFormula:
@@ -111,6 +120,275 @@ class TestSegmentation:
         (term,) = translate_heap(list_trace())
         skeleton = make_skeleton(term, ((0,),))
         assert skeleton.target_of("next") is HOLE
+
+
+# ----------------------------------------------------------------------
+# Reference: the all-depth segmentation search, as it was before the
+# candidates were restricted to the root's own fields.
+# ----------------------------------------------------------------------
+
+
+def _ref_contains_stop(node):
+    if is_terminal(node) or isinstance(node, PredTerm):
+        return True
+    if isinstance(node, NameTerm):
+        return False
+    return any(_ref_contains_stop(c) for c in children(node))
+
+
+def _ref_is_potential(term, pos):
+    node = subterm(term, pos)
+    if isinstance(node, (NullTerm, PredTerm)):
+        return True
+    if isinstance(node, StarTerm):
+        if node.is_unexpanded:
+            return True
+        return node.fields == term.fields and _ref_contains_stop(node)
+    return False
+
+
+def _ref_is_prefix(prefix, pos):
+    return len(prefix) < len(pos) and pos[: len(prefix)] == prefix
+
+
+def _ref_skeleton(term, points):
+    counter = [0]
+    prefixes = {r[:i] for r in points for i in range(len(r) + 1)}
+
+    def build(node, pos):
+        if pos in points:
+            return HOLE
+        if pos not in prefixes:
+            counter[0] += 1
+            return VarTerm(counter[0])
+        rebuilt = tuple(build(c, pos + (i,)) for i, c in enumerate(children(node)))
+        if isinstance(node, StarTerm):
+            return StarTerm(node.fields, rebuilt, loc=None)
+        return PredTerm(node.pred, rebuilt, loc=None)
+
+    return build(term, ())
+
+
+def _ref_matches(skeleton, node):
+    if isinstance(skeleton, Hole):
+        return _ref_contains_stop(node)
+    if isinstance(skeleton, VarTerm):
+        return not contains_terminal(node) and isinstance(node, (NameTerm, PredTerm))
+    if isinstance(skeleton, StarTerm):
+        return (
+            isinstance(node, StarTerm)
+            and skeleton.fields == node.fields
+            and all(map(_ref_matches, skeleton.targets, node.targets))
+        )
+    return (
+        isinstance(node, PredTerm)
+        and skeleton.pred == node.pred
+        and len(skeleton.args) == len(node.args)
+        and all(map(_ref_matches, skeleton.args, node.args))
+    )
+
+
+def _ref_segment(node, points):
+    def build(current, pos):
+        if pos in points:
+            return HOLE
+        if not any(_ref_is_prefix(pos, r) or pos == r for r in points):
+            return current
+        rebuilt = []
+        for i, child in enumerate(children(current)):
+            piece = build(child, pos + (i,))
+            if piece is None:
+                return None
+            rebuilt.append(piece)
+        if isinstance(current, StarTerm):
+            return StarTerm(current.fields, tuple(rebuilt), loc=current.loc)
+        if isinstance(current, PredTerm):
+            return PredTerm(current.pred, tuple(rebuilt), loc=current.loc)
+        return None
+
+    return build(node, ())
+
+
+def _ref_root_legal(skel, node):
+    if isinstance(skel, Hole):
+        return True
+    if isinstance(skel, VarTerm):
+        return isinstance(node, (NameTerm, NullTerm, PredTerm))
+    return all(map(_ref_root_legal, children(skel), children(node)))
+
+
+def _ref_validate(term, points):
+    if any(subterm(term, r) is None for r in points):
+        return None
+    skeleton = _ref_skeleton(term, points)
+    if not _ref_root_legal(skeleton, term):
+        return None
+    segments, pairs, tails = {}, [], []
+
+    def walk(pos):
+        segment = _ref_segment(subterm(term, pos), points)
+        if segment is None:
+            return False
+        segments[pos] = segment
+        for index, r in enumerate(points):
+            child = subterm(term, pos + r)
+            if child is None:
+                return False
+            if is_terminal(child):
+                continue
+            if isinstance(child, PredTerm):
+                tails.append((pos, index, child))
+                continue
+            if not _ref_matches(skeleton, child):
+                return False
+            pairs.append((pos, index, pos + r))
+            if not walk(pos + r):
+                return False
+        return True
+
+    if not walk(()) or not (pairs or tails):
+        return None
+    return Segmentation(points, skeleton, segments, tuple(pairs), tuple(tails))
+
+
+def reference_segmentations(term):
+    """The all-depth search in its accept-first preorder, keeping only
+    the one-level segmentations (every other one failed assembly)."""
+    if not isinstance(term, StarTerm) or term.is_unexpanded:
+        return
+    candidates = [p for p in positions(term) if p and _ref_is_potential(term, p)]
+
+    def search(index, chosen):
+        if index == len(candidates):
+            if chosen and all(len(r) == 1 for r in chosen):
+                result = _ref_validate(term, tuple(chosen))
+                if result is not None:
+                    yield result
+            return
+        pos = candidates[index]
+        if any(_ref_is_prefix(r, pos) for r in chosen):
+            yield from search(index + 1, chosen)
+            return
+        chosen.append(pos)
+        yield from search(index + 1, chosen)
+        chosen.pop()
+        yield from search(index + 1, chosen)
+
+    yield from search(0, [])
+
+
+#: Terms whose all-depth candidate count exceeds this are left out: the
+#: reference enumerates up to 2**n subsets.
+REFERENCE_CANDIDATE_CAP = 14
+
+
+def _reference_sized(term):
+    return isinstance(term, StarTerm) and not term.is_unexpanded and sum(
+        1 for p in positions(term) if p and _ref_is_potential(term, p)
+    ) <= REFERENCE_CANDIDATE_CAP
+
+
+def _expanded_subterms(term):
+    """*term* and every expanded node below it: what synthesize_forest
+    may hand to the segmentation search."""
+    for pos in positions(term):
+        node = subterm(term, pos)
+        if isinstance(node, StarTerm) and not node.is_unexpanded:
+            yield node
+
+
+@pytest.fixture(scope="module")
+def curated_terms():
+    """Distinct expanded terms (and subterms) translate_heap produces
+    when the curated programs (the runner's suite and the mini-C
+    kernels, each in its workload's mode) normalize their states."""
+    import repro.analysis.invariants as invariants
+    from repro import ShapeAnalysis, compile_c
+    from repro.benchsuite import csources
+    from repro.benchsuite.runner import benchmark_factories
+
+    programs = {name: build() for name, build in benchmark_factories().items()}
+    for source in (
+        csources.MCF_C,
+        csources.TREEADD_C,
+        csources.PERIMETER_C,
+        csources.POWER_C,
+    ):
+        programs[source] = compile_c(source)
+    seen = {}
+    translate = invariants.translate_heap
+
+    def recording(spatial):
+        terms = translate(spatial)
+        for term in terms:
+            for node in _expanded_subterms(term):
+                seen.setdefault(node, None)
+        return terms
+
+    mp = pytest.MonkeyPatch()
+    mp.setattr(invariants, "translate_heap", recording)
+    try:
+        for name, program in programs.items():
+            degrade = name.startswith(("entail-", "lemma-"))
+            ShapeAnalysis(program, mode="degrade" if degrade else "strict").run()
+    finally:
+        mp.undo()
+    return [term for term in seen if _reference_sized(term)]
+
+
+def _random_term(rng, fields, depth):
+    targets = []
+    for _ in fields:
+        roll = rng.random()
+        if depth and roll < 0.4:
+            # Occasionally a node of another type: not a recursion point.
+            child_fields = fields if rng.random() < 0.85 else fields[:-1] or ("x",)
+            targets.append(_random_term(rng, child_fields, depth - 1))
+        elif roll < 0.6:
+            targets.append(NULL_TERM)
+        elif roll < 0.72:
+            targets.append(StarTerm((), (), loc=Var(f"u{rng.randrange(50)}")))
+        elif roll < 0.9:
+            targets.append(NameTerm(f"n{rng.randrange(3)}", ("d",) * rng.randrange(2)))
+        else:
+            args = (NameTerm(f"n{rng.randrange(3)}"), rng.choice((NULL_TERM, NameTerm("m"))))
+            targets.append(PredTerm("Q", args[: rng.randrange(1, 3)]))
+    return StarTerm(tuple(fields), tuple(targets), loc=Var(f"v{rng.randrange(1000)}"))
+
+
+def synthetic_terms(count=400, seed=23):
+    rng = random.Random(seed)
+    terms = []
+    while len(terms) < count:
+        fields = sorted(rng.sample(("child", "d", "next", "parent", "sib"), rng.randrange(1, 5)))
+        term = _random_term(rng, tuple(fields), rng.randrange(1, 4))
+        if _reference_sized(term):
+            terms.append(term)
+    return terms
+
+
+class TestOneLevelSearchIsExact:
+    """``find_segmentations`` yields exactly the one-level segmentations
+    of the all-depth search, in the same order, so the first one that
+    assembles into a predicate is the same."""
+
+    def test_curated_program_terms(self, curated_terms):
+        compared = found = 0
+        for term in curated_terms:
+            expected = list(reference_segmentations(term))
+            assert list(find_segmentations(term)) == expected, str(term)
+            compared += 1
+            found += len(expected)
+        assert compared >= 100 and found >= 40
+
+    def test_synthetic_trees(self):
+        found = nested = 0
+        for term in synthetic_terms():
+            expected = list(reference_segmentations(term))
+            assert list(find_segmentations(term)) == expected, str(term)
+            found += len(expected)
+            nested += any(len(p) > 1 for p in positions(term) if p and _ref_is_potential(term, p))
+        assert found >= 100 and nested >= 100
 
 
 class TestAntiUnify:
