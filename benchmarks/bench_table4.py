@@ -12,6 +12,8 @@ Shape claims that must hold (and are asserted):
   predicate matching the paper's "Data Type" column (mcf tree with two
   backward links, binary trees, quaternary tree with parent links,
   lists);
+* the pre-pass (§5.1) identifies each benchmark's recursive types:
+  the fields its traversal loads read;
 * the shape phase is the same order of magnitude as the pre-pass --
   the paper's point that code pruning makes flow-sensitive shape
   analysis affordable ("for the most part, the shape phase takes less
@@ -27,6 +29,7 @@ import pytest
 
 from repro.analysis import ShapeAnalysis
 from repro.benchsuite import TABLE4_PROGRAMS
+from repro.prepass import PointerAnalysis, recursive_types
 from repro.reporting import render_table
 
 #: The paper's Table 4 (times in seconds on their 3 GHz P4).
@@ -53,6 +56,15 @@ EXPECTED_SHAPE = {
     "power": {"next", "branches"},
 }
 
+#: Fields of the recursive types the pre-pass identifies.
+RECURSIVE_FIELDS = {
+    "181.mcf": {"sib"},
+    "treeadd": {"left", "right"},
+    "bisort": {"left", "right"},
+    "perimeter": {"nw", "ne", "sw", "se"},
+    "power": {"next"},
+}
+
 _RESULTS: dict[str, object] = {}
 
 
@@ -60,6 +72,14 @@ def _run(name: str):
     result = ShapeAnalysis(TABLE4_PROGRAMS()[name], name=name).run()
     _RESULTS[name] = result
     return result
+
+
+@pytest.mark.parametrize("name", sorted(PAPER_TABLE4))
+def test_prepass_recursive_types(name):
+    program = TABLE4_PROGRAMS()[name]
+    pointers = PointerAnalysis(program)
+    fields = {t.field for t in recursive_types(program, pointers)}
+    assert fields == RECURSIVE_FIELDS[name]
 
 
 @pytest.mark.parametrize("name", sorted(PAPER_TABLE4))

@@ -60,7 +60,7 @@ from repro.logic.state import AbstractState, AnalysisStuck
 from repro.logic.stateset import StateSet, any_subsumes, structural_signature
 from repro.logic.symvals import NULL_VAL, NullVal, Opaque, OffsetVal, SymVal
 from repro.logic.assertions import PointsTo, Raw
-from repro.prepass.liveness import Liveness
+from repro.prepass.defuse import DefUse
 from repro.prepass.wto import WeakTopologicalOrder, compute_wto
 from repro.analysis.fold import fold_state
 from repro.analysis.invariants import normalize_state
@@ -256,9 +256,7 @@ class ShapeEngine:
         #: per-procedure weak topological orders, computed on first use
         #: (sliced-away procedures never pay for theirs).
         self._wtos: dict[str, WeakTopologicalOrder] = {}
-        self.liveness = {
-            name: Liveness(proc) for name, proc in program.procedures.items()
-        }
+        self.liveness = {name: DefUse(cfg) for name, cfg in self.cfgs.items()}
         self.summaries: dict[str, list[Summary]] = {
             name: [] for name in program.procedures
         }
@@ -1225,7 +1223,7 @@ class ShapeEngine:
                         name, index, instr, state, sampler, follow_edge, proc
                     )
                 elif isinstance(instr, Call):
-                    live_after = liveness.live_after(index)
+                    live_after = liveness.live_out[index]
                     for successor in self._call(
                         name, state, instr, sampler, contracts, live_after
                     ):
@@ -1507,10 +1505,10 @@ class ShapeEngine:
         header_invariants: dict[int, list[AbstractState]],
         back_arrivals: dict[int, int],
         cutpoints: frozenset[HeapName],
-        liveness: Liveness,
+        liveness: DefUse,
         push,
     ) -> None:
-        live = liveness.live_before(header)
+        live = liveness.live_in[header]
         state.rho = {r: v for r, v in state.rho.items() if r in live}
         arrivals = back_arrivals.get(header, 0) + 1
         back_arrivals[header] = arrivals

@@ -7,7 +7,8 @@ compute the load address, a recurrence that is easily detected by
 computing strongly-connected components of the reaching-definition
 graph."
 
-We build the def-use graph of each procedure, extend it across call
+Each procedure's def-use edges come from one sparse walk per register
+(:class:`~repro.prepass.defuse.DefUse`).  We extend them across call
 boundaries (argument -> parameter, return -> call destination) so that
 recursive-procedure traversals (``treeadd(t->left)``) are caught, and
 take the inferred types of loads inside non-trivial SCCs.  Stores to a
@@ -16,11 +17,11 @@ recursive type mark it recursive as well (builders).
 
 from __future__ import annotations
 
-from repro.ir.cfg import strongly_connected_components
+from repro.ir.cfg import CFG, strongly_connected_components
 from repro.ir.instructions import Call, Load, Return
 from repro.ir.program import Program
 from repro.ir.values import Register
-from repro.prepass.reachingdefs import def_use_graph
+from repro.prepass.defuse import DefUse
 from repro.prepass.steensgaard import InferredType, PointerAnalysis
 
 __all__ = ["recursive_types", "traversal_loads"]
@@ -38,27 +39,25 @@ def _global_def_use(program: Program) -> dict[_Node, set[_Node]]:
     spuriously with the return flow and make every value loaded inside
     a recursion look like it computes a load address.
     """
-    from repro.prepass.reachingdefs import ReachingDefinitions
-
     edges: dict[_Node, set[_Node]] = {}
     param_uses: dict[tuple[str, Register], set[_Node]] = {}
-    reaching: dict[str, ReachingDefinitions] = {}
+    reaching: dict[str, dict[tuple[int, Register], set[int]]] = {}
+    returns: dict[str, list[_Node]] = {}
     for name, proc in program.procedures.items():
-        local = def_use_graph(proc)
-        for d, uses in local.items():
-            edges.setdefault((name, d), set()).update((name, u) for u in uses)
-        # Uses of parameters with no local definition reaching them are
-        # fed by call sites.
-        rd = ReachingDefinitions(proc)
-        reaching[name] = rd
-        for i, instr in enumerate(proc.instrs):
-            for register in instr.uses():
-                if register in proc.params and not rd.definitions_reaching(
-                    i, register
-                ):
-                    param_uses.setdefault((name, register), set()).add((name, i))
+        reaching[name] = DefUse(CFG(proc)).reaching
+        returns[name] = [
+            (name, j)
+            for j, instr in enumerate(proc.instrs)
+            if isinstance(instr, Return) and instr.value is not None
+        ]
+        for (i, register), defs in reaching[name].items():
+            for d in defs:
+                edges.setdefault((name, d), set()).add((name, i))
+            # Uses of parameters with no local definition reaching them
+            # are fed by call sites.
+            if not defs and register in proc.params:
+                param_uses.setdefault((name, register), set()).add((name, i))
     for name, proc in program.procedures.items():
-        rd = reaching[name]
         for i, instr in enumerate(proc.instrs):
             if isinstance(instr, Call) and instr.func in program.procedures:
                 callee = program.procedures[instr.func]
@@ -67,7 +66,7 @@ def _global_def_use(program: Program) -> dict[_Node, set[_Node]]:
                         targets = param_uses.get((instr.func, formal), set())
                         if not targets:
                             continue
-                        arg_defs = rd.definitions_reaching(i, actual)
+                        arg_defs = reaching[name][i, actual]
                         if not arg_defs and actual in proc.params:
                             # The argument is itself an incoming
                             # parameter: chain through its use here.
@@ -78,9 +77,8 @@ def _global_def_use(program: Program) -> dict[_Node, set[_Node]]:
                         for d in arg_defs:
                             edges.setdefault((name, d), set()).update(targets)
                 if instr.dst is not None:
-                    for j, cin in enumerate(callee.instrs):
-                        if isinstance(cin, Return) and cin.value is not None:
-                            edges.setdefault((instr.func, j), set()).add((name, i))
+                    for ret in returns[instr.func]:
+                        edges.setdefault(ret, set()).add((name, i))
     return edges
 
 

@@ -1,16 +1,83 @@
 """Tests for the pre-pass: pointer analysis, reaching definitions,
-recursive-type identification, slicing and liveness (§5.1)."""
+recursive-type identification, slicing and liveness (§5.1).
 
-from repro.ir import Load, Nop, Register, Store, parse_program
+``_reaching`` and ``_live_in`` are brute-force path references (no
+dataflow) for the sparse walk in ``DefUse``."""
+
+from repro import compile_c
+from repro.benchsuite import csources
+from repro.benchsuite.runner import benchmark_factories
+from repro.crucible.generator import generate_program
+from repro.ir import CFG, Load, Nop, Register, Store, parse_program
 from repro.prepass import (
-    Liveness,
+    DefUse,
     PointerAnalysis,
-    ReachingDefinitions,
-    def_use_graph,
     recursive_types,
     slice_program,
     traversal_loads,
 )
+
+
+def _reaching(cfg: CFG, index: int, register: Register) -> set[int]:
+    """Definitions of *register* with a path to *index* that passes no
+    other definition of it: a backward search from the use."""
+    found: set[int] = set()
+    seen: set[int] = set()
+    work = list(cfg.preds[index])
+    while work:
+        node = work.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        if register in cfg.proc.instrs[node].defs():
+            found.add(node)
+        else:
+            work.extend(cfg.preds[node])
+    return found
+
+
+def _live_in(cfg: CFG, index: int, register: Register) -> bool:
+    """Whether a use of *register* is reachable from *index* on a path
+    that passes no definition of it: a forward search."""
+    seen: set[int] = set()
+    work = [index]
+    while work:
+        node = work.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        instr = cfg.proc.instrs[node]
+        if register in instr.uses():
+            return True
+        if register not in instr.defs():
+            work.extend(cfg.succs[node])
+    return False
+
+
+def _exactness_corpus():
+    """The curated programs and crucible seeds 1-60 at 0 and 2
+    mutations, each raw and sliced."""
+    programs = [make() for make in benchmark_factories().values()]
+    programs += [
+        compile_c(source)
+        for source in (
+            csources.MCF_C,
+            csources.TREEADD_C,
+            csources.PERIMETER_C,
+            csources.POWER_C,
+        )
+    ]
+    programs += [
+        generate_program(seed, mutations=mutations).program
+        for seed in range(1, 61)
+        for mutations in (0, 2)
+    ]
+    for program in programs:
+        pointers = PointerAnalysis(program)
+        yield program
+        yield slice_program(
+            program, pointers, recursive_types(program, pointers)
+        ).program
 
 LIST_SRC = """
 proc main():
@@ -121,23 +188,30 @@ class TestSteensgaard:
 class TestReachingDefs:
     def test_loop_carried_definition_reaches_header(self):
         program = parse_program(LIST_SRC)
-        rd = ReachingDefinitions(program.proc("main"))
         proc = program.proc("main")
-        header = proc.labels["L"]
-        defs = rd.definitions_reaching(header, Register("head"))
+        reaching = DefUse(CFG(proc)).reaching
+        # the loop body's use of %head in `[%p.next] = %head`
+        use = next(
+            i
+            for i, ins in enumerate(proc.instrs)
+            if isinstance(ins, Store) and ins.field == "next"
+        )
+        defs = reaching[use, Register("head")]
         assert len(defs) == 2  # initial null and the loop update
 
     def test_def_use_edges(self):
         program = parse_program(LIST_SRC)
         proc = program.proc("main")
-        edges = def_use_graph(proc)
-        # some definition of %c feeds the load of c.next
+        reaching = DefUse(CFG(proc)).reaching
+        # definitions of %c (the copy of %head and the load itself)
+        # feed the load of c.next
         load_index = next(
             i
             for i, ins in enumerate(proc.instrs)
             if isinstance(ins, Load) and ins.field == "next"
         )
-        assert any(load_index in targets for targets in edges.values())
+        assert load_index in reaching[load_index, Register("c")]
+        assert len(reaching[load_index, Register("c")]) == 2
 
 
 class TestRecursiveTypes:
@@ -218,15 +292,41 @@ class TestLiveness:
     def test_dead_after_last_use(self):
         program = parse_program(LIST_SRC)
         proc = program.proc("main")
-        liveness = Liveness(proc)
+        liveness = DefUse(CFG(proc))
         # %p is dead at the loop header (only used inside one iteration)
         header = proc.labels["L"]
-        assert Register("p") not in liveness.live_before(header)
-        assert Register("head") in liveness.live_before(header)
+        assert Register("p") not in liveness.live_in[header]
+        assert Register("head") in liveness.live_in[header]
 
     def test_return_value_live(self):
         program = parse_program(LIST_SRC)
         proc = program.proc("main")
-        liveness = Liveness(proc)
+        liveness = DefUse(CFG(proc))
         last = len(proc.instrs) - 1
-        assert Register("head") in liveness.live_before(last)
+        assert Register("head") in liveness.live_in[last]
+
+
+class TestDefUseExactness:
+    def test_walk_matches_path_reference(self):
+        bodies = 0
+        for program in _exactness_corpus():
+            for proc in program.procedures.values():
+                bodies += 1
+                cfg = CFG(proc)
+                flow = DefUse(cfg)
+                uses = {
+                    (i, register)
+                    for i, instr in enumerate(proc.instrs)
+                    for register in instr.uses()
+                }
+                assert set(flow.reaching) == uses
+                for (i, register), defs in flow.reaching.items():
+                    assert defs == _reaching(cfg, i, register), (i, register)
+                registers = {register for _i, register in uses}
+                for i in range(len(proc.instrs)):
+                    live_in = {r for r in registers if _live_in(cfg, i, r)}
+                    assert flow.live_in[i] == live_in, i
+                    assert flow.live_out[i] == set().union(
+                        *(flow.live_in[s] for s in cfg.succs[i])
+                    ), i
+        assert bodies > 500

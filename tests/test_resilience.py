@@ -401,13 +401,24 @@ class TestDeepGraphs:
     iterative, so ``run()`` decides instead of raising."""
 
     def test_long_straight_line_passes(self):
-        # Nearly all of the run is reaching definitions, which is
-        # quadratic in straight-line length; the slicer's closure is
-        # linear.
-        body = "".join(f"    %x{i} = %x{i - 1}\n" for i in range(1, 2000))
+        # The pre-pass walks each register's live region once and the
+        # slicer's closure is a worklist, so a chain is linear.
+        body = "".join(f"    %x{i} = %x{i - 1}\n" for i in range(1, 3000))
         result = ShapeAnalysis(
             parse_program(
-                f"proc main():\n    %x0 = malloc()\n{body}    return %x1999\n"
+                f"proc main():\n    %x0 = malloc()\n{body}    return %x2999\n"
+            )
+        ).run()
+        assert result.outcome == "pass"
+        assert result.diagnostics == []
+
+    def test_long_fan_out_passes(self):
+        # One definition with 3,000 uses: a walk per use, rather than
+        # one per register, would be quadratic here.
+        body = "".join(f"    %y{i} = %x0\n" for i in range(1, 3000))
+        result = ShapeAnalysis(
+            parse_program(
+                f"proc main():\n    %x0 = malloc()\n{body}    return %y2999\n"
             )
         ).run()
         assert result.outcome == "pass"
