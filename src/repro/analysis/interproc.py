@@ -972,11 +972,14 @@ class ShapeEngine:
         # path only saw under a different entry shape) *widens* the
         # contract, and verification restarts -- a Kleene iteration on
         # the exit sets, bounded by the disjunct cap a loop header also
-        # obeys: together the SCC's contracts hold at most
+        # obeys: the SCC's contracts start with and append at most
         # ``max_invariants_per_header`` exits.  Every contract starts
         # with an exit and every unstable round appends one, so the cap
         # also bounds the rounds.  Exceeding it means the synthesized
-        # invariants do not derive themselves.
+        # invariants do not derive themselves.  Exit sets stay maximal:
+        # an appended exit evicts the exits it subsumes, but the cap
+        # counts appended exits, not live ones, so an eviction never
+        # buys a diverging recursion another round.
         disjuncts = sum(len(c.exits) for p in visited for c in contracts[p])
         verify_rounds = 0
         stable = False
@@ -1008,6 +1011,11 @@ class ShapeEngine:
                                 code=SUMMARY_FAILURE,
                                 procedure=name,
                             )
+                        contract.exits[:] = [
+                            old
+                            for old in contract.exits
+                            if subsumes(exit_state, old, env=self.env) is None
+                        ]
                         contract.exits.append(exit_state)
                         disjuncts += 1
                         stable = False
@@ -1043,10 +1051,11 @@ class ShapeEngine:
         synthesize one (entry invariant, exit invariants) contract per
         group.  Each activation's exits are re-based into its group's
         name space through the inverted subsumption witness (entry and
-        exits of one activation share their names)."""
+        exits of one activation share their names), and each group's
+        exits are kept maximal."""
         params = set(self.program.proc(p).params)
         keep_live = {RET_REGISTER} | params
-        groups: list[tuple[AbstractState, list[AbstractState], frozenset]] = []
+        groups: list[tuple[AbstractState, StateSet, frozenset]] = []
         for seen_entry, seen_exits, act_cuts in reversed(
             sampler.activations.get(p, [])
         ):
@@ -1089,7 +1098,7 @@ class ShapeEngine:
                         code=SUMMARY_FAILURE,
                         procedure=p,
                     )
-                group_exits = []
+                group_exits = StateSet(self.env)
                 groups.append((group_entry, group_exits, act_cuts))
             inverse = Mapping()
             for inv_name, value in witness.binding.items():
@@ -1101,10 +1110,9 @@ class ShapeEngine:
                     exit_state.copy(), keep_live, "R", act_cuts
                 )
                 candidate = transplant_state(normalized, inverse)
-                if not any_subsumes(group_exits, candidate, env=self.env):
-                    group_exits.append(candidate)
+                group_exits.insert_maximal(candidate)
         return [
-            Summary(entry, exits or [AbstractState()], cuts)
+            Summary(entry, exits.states() or [AbstractState()], cuts)
             for entry, exits, cuts in groups
         ]
 

@@ -1,15 +1,19 @@
 """Tests for the sample-path protocol of §5.2.1: branch steering,
 depth quotas, contract grouping, verification widening and its
-disjunct cap."""
+disjunct cap, and maximal contract exit sets."""
 
 import pytest
 
 from repro.analysis import ShapeAnalysis
 from repro.analysis.interproc import ShapeEngine, _Sampler
 from repro.analysis.resilience import BUDGET_EXHAUSTED, SUMMARY_FAILURE
+from repro.benchsuite import csources, perimeter
 from repro.benchsuite.runner import run_one
+from repro.crucible.generator import generate_program
+from repro.crucible.oracle import Oracle
 from repro.ir import parse_program
 from repro.logic import AbstractState, Raw, Var
+from repro.logic.entailment import subsumes
 from repro.obs.metrics import Metrics
 
 
@@ -295,3 +299,72 @@ class TestDivergingEdits:
         codes = {d["code"] for d in record.diagnostics}
         assert SUMMARY_FAILURE in codes
         assert BUDGET_EXHAUSTED not in codes
+
+
+def _run_capturing_engine(program, mode="strict"):
+    engines = []
+
+    def factory(*args, **kwargs):
+        engines.append(ShapeEngine(*args, **kwargs))
+        return engines[-1]
+
+    result = ShapeAnalysis(program, mode=mode, engine_factory=factory).run()
+    (engine,) = engines
+    return result, engine
+
+
+class TestMaximalContractExits:
+    """A recursion contract's exit set holds no exit another one
+    subsumes: in perimeter's ``build`` the null base case goes once the
+    folded ``P1(ret, parent)`` exit covers it, so each verification
+    pass runs its four recursive calls over 2^4 exit combinations
+    instead of 3^4."""
+
+    def test_perimeter_contract_exits_are_maximal(self):
+        result, engine = _run_capturing_engine(perimeter.program())
+        assert result.outcome == "pass", result.failure
+        for proc in ("build", "perimeter"):
+            assert engine.summaries[proc]
+            for contract in engine.summaries[proc]:
+                for i, general in enumerate(contract.exits):
+                    for j, concrete in enumerate(contract.exits):
+                        if i != j:
+                            assert subsumes(
+                                general, concrete, env=engine.env
+                            ) is None, (proc, i, j)
+
+    def test_perimeter_states(self):
+        # 2,740 states while subsumed exits stayed in the contracts.
+        result, _engine = _run_capturing_engine(perimeter.program())
+        assert result.stats["engine.states"] <= 1200
+
+    @pytest.mark.parametrize(
+        "name", ["edit:perimeter@69705451", "edit:perimeter@359639757"]
+    )
+    def test_eviction_buys_diverging_recursion_no_rounds(self, name):
+        """The disjunct cap counts appended exits, not live ones: if an
+        eviction gave its slot back, these diverging edits would widen
+        to 1,964 states before failing the same way."""
+        record = run_one(name, mode="degrade")
+        assert record.outcome == "degraded"
+        assert SUMMARY_FAILURE in {d["code"] for d in record.diagnostics}
+        assert record.result["stats"]["engine.states"] == 338
+
+
+@pytest.mark.parametrize(
+    "name,make",
+    [("perimeter", perimeter.program), ("perimeter.c", csources.perimeter_c_program)]
+    + [
+        (
+            f"crucible:{seed}+2",
+            lambda seed=seed: generate_program(seed, mutations=2).program,
+        )
+        for seed in (12, 50, 64, 116, 129, 147, 193, 194, 268, 300)
+    ],
+)
+def test_oracle_on_runs_whose_contracts_shrink(name, make):
+    """Claims A-C hold on every curated or fuzzed run whose contracts
+    lose a subsumed exit (the mutated seeds fail with summary-failure
+    and take ~0.5 s each)."""
+    report = Oracle().check(make(), name)
+    assert report.ok, [v.to_dict() for v in report.violations]
